@@ -94,4 +94,11 @@ class ReferenceDatabase {
   std::size_t ambiguous_ = 0;
 };
 
+/// Reads a reference to serve from FASTA (leading '>') or raw ACGT text
+/// (whitespace tolerated).  FASTA records are concatenated as in
+/// ReferenceDatabase, guards between records included, but the guard after
+/// the last record is dropped: a one-record FASTA serves exactly its bases.
+PackedNucleotides read_reference(std::istream& in);
+PackedNucleotides read_reference_file(const std::string& path);
+
 }  // namespace fabp::bio

@@ -38,12 +38,6 @@ struct AcceleratorConfig {
   bool use_lut_path = false;       // evaluate matches through the LUT pair
   std::size_t pipeline_depth = 12; // fill latency, cycles
   std::size_t wb_bytes_per_hit = 8;  // position + score record
-
-  /// Optional fault injection on the AXI read channel: when set, run()
-  /// streams beats through a FaultyAxiStream so stall storms surface as
-  /// ordinary fifo-empty stalls (inflating kernel time, which is how the
-  /// host watchdog sees them).  Non-owning; null = clean channel.
-  hw::FaultInjector* fault_injector = nullptr;
 };
 
 struct AcceleratorRun {
@@ -66,9 +60,9 @@ struct AcceleratorRun {
 /// FIFO-overlapped datapath: beats arrive in lockstep groups of `channels`
 /// per cycle through the AXI burst model (optionally fault-injected stall
 /// storms), and a `segments`-segment datapath occupies the pipe for
-/// `segments` cycles per group.  This is exactly the accounting loop of
-/// Accelerator::run's non-LUT path, shared with the device batch scheduler
-/// so a per-PE reference slice is priced bit-identically to a full run.
+/// `segments` cycles per group.  Accelerator::run (both functional paths)
+/// and the device batch scheduler share it, so a per-PE reference slice is
+/// priced bit-identically to a full run.
 struct StreamBeatTiming {
   std::size_t beats = 0;
   std::size_t stall_cycles = 0;
@@ -93,16 +87,8 @@ class Accelerator {
   /// Same, from a pre-encoded query.
   const FabpMapping& load_encoded(EncodedQuery query);
 
-  /// Functional + timing simulation over a packed reference.  When the
-  /// caller already holds the hit list for this (query, reference,
-  /// threshold) — e.g. Session::align_batch scores a whole batch in one
-  /// pass over cached bit-planes — it can pass `precomputed_hits` and the
-  /// run reduces to cycle/energy accounting.  The list must be exactly
-  /// what the default path would compute; the LUT oracle path ignores it
-  /// and always evaluates element by element.
-  AcceleratorRun run(const bio::PackedNucleotides& reference,
-                     const std::vector<Hit>* precomputed_hits =
-                         nullptr) const;
+  /// Functional + timing simulation over a packed reference.
+  AcceleratorRun run(const bio::PackedNucleotides& reference) const;
 
   /// Timing-only estimate for a reference of `reference_elements` 2-bit
   /// elements with an expected hit density (hits per reference element).

@@ -2,10 +2,9 @@
 // Backend layer of the serving engine (DESIGN.md §"Layered host runtime").
 //
 // A ScanBackend is one way of answering "all hits of this compiled query
-// against the uploaded reference": the tile-fused software scanner, the
-// precompiled whole-reference planes, or the cycle-accurate hardware
-// simulation (Accelerator) wrapped in the PR-4 fault-detection/recovery
-// machinery that used to live inside Session.  Every backend consumes a
+// against the uploaded reference": the tile-fused software scanner, or the
+// hardware simulation — the device batch scheduler's cycle model wrapped
+// in the fault-detection/recovery machinery.  Every backend consumes a
 // CompiledQuery (the compile layer's artifact) and returns hits + per-run
 // stats through one uniform BackendRun, so the engine's coalescing
 // scheduler and the Session facade schedule them interchangeably — the
@@ -33,21 +32,16 @@ namespace fabp::core {
 
 /// Backend selection: which implementation serves a request.
 enum class BackendKind : std::uint8_t {
-  HwSim,   ///< Accelerator model + fault recovery (the full card model)
-  Tiled,   ///< tile-fused software compile+scan (TileScanner)
-  Planes,  ///< precompiled whole-reference planes (BitScanReference)
+  HwSim,  ///< device batch scheduler + fault recovery (the full card model)
+  Tiled,  ///< tile-fused software compile+scan (TileScanner)
 };
 
 const char* to_string(BackendKind kind) noexcept;
 
-/// The software backend matching a HostConfig's scan-path choice.
-BackendKind software_backend_kind(ScanPath path) noexcept;
-
 /// The "FPGA DRAM" of the model: the packed reference (and its
 /// reverse-complement copy when both strands are searched), shared by every
 /// backend of an engine.  upload() is the one mutation point; backends
-/// cache derived artifacts (planes, tile CRCs) and drop them on
-/// invalidate().
+/// cache derived artifacts (tile CRCs) and drop them on invalidate().
 struct ReferenceStore {
   bio::PackedNucleotides forward;
   bio::PackedNucleotides reverse;  ///< RC copy; empty unless both strands
@@ -73,7 +67,7 @@ struct ReferenceStore {
 
 /// One immutable generation of a database's reference.  The store is
 /// filled at construction and never mutated afterwards; everything built
-/// over it (backends, shard plans, plane caches) hangs off the subclassing
+/// over it (backends, shard plans, tile CRCs) hangs off the subclassing
 /// owner and dies with the snapshot.  Polymorphic so the engine can attach
 /// its per-generation backend set while the reclamation layer tracks only
 /// this base.
@@ -201,14 +195,15 @@ class ScanBackend {
   virtual void invalidate() = 0;
 
   /// One aligned search (both strands when the config says so).  Typed
-  /// errors only — never throws for runtime failures.
+  /// errors only — never throws for runtime failures.  The hw-sim backend
+  /// serves it as a one-task run_many().
   virtual Expected<BackendRun> run(const BackendRequest& request) = 0;
 
   /// A coalesced batch as one call, in request order: element [i] is the
   /// result for requests[i].  The default forwards to run() serially; the
   /// hw-sim backend overrides it with the device batch scheduler (packed
-  /// invocations, double-buffered DMA, multi-PE slices — DESIGN.md §4d)
-  /// and keeps every element bit-identical to the serial path.
+  /// invocations, double-buffered DMA, multi-PE slices — DESIGN.md §4d),
+  /// whose hits are identical at any batch shape.
   virtual std::vector<Expected<BackendRun>> run_many(
       std::span<const BackendRequest> requests);
 
@@ -216,24 +211,15 @@ class ScanBackend {
   virtual DevicePipelineStats pipeline_stats() const noexcept { return {}; }
 
   /// Raw hit lists for a whole batch in one pass over one strand of the
-  /// reference — the coalescing scheduler's precompute hook.  Element [q]
-  /// is exactly the strand hit list run() would compute for
+  /// reference — the coalescing scheduler's precompute hook and the
+  /// software_hits path (no accelerator timing model).  Element [q] is
+  /// exactly the strand hit list run() would compute for
   /// (queries[q], thresholds[q]); reverse-strand lists are returned in raw
   /// RC coordinates (run() maps them).
   virtual std::vector<std::vector<Hit>> scan_batch(
       std::span<const CompiledQueryPtr> queries,
       std::span<const std::uint32_t> thresholds, bool reverse_strand,
       util::ThreadPool* pool) = 0;
-
-  /// Forward-strand hits through the pure software path (the
-  /// Session::software_hits contract: no accelerator timing model).
-  virtual std::vector<Hit> scan_one(const CompiledQuery& query,
-                                    std::uint32_t threshold,
-                                    util::ThreadPool* pool) = 0;
-
-  /// False when run() must evaluate element-by-element and ignores
-  /// precomputed hit lists (the LUT oracle path).
-  virtual bool supports_precomputed_hits() const noexcept { return true; }
 
   /// Health machine position; software backends never degrade.
   virtual HealthState health() const noexcept { return HealthState::Healthy; }
@@ -263,9 +249,10 @@ HostRunReport estimate_run(const HostConfig& config,
                            std::size_t bytes);
 
 /// Typed construction-time validation of a HostConfig: zero/absurd tile
-/// sizes, non-positive bandwidths, zero retry budgets and out-of-range
-/// fault probabilities are rejected with ErrorCode::InvalidConfig before
-/// they can fail deep inside a scan.  Returns ErrorCode::None when valid.
+/// sizes, non-positive bandwidths, zero retry budgets, out-of-range fault
+/// probabilities and the Accelerator-level LUT oracle path are rejected
+/// with ErrorCode::InvalidConfig before they can fail deep inside a scan.
+/// Returns ErrorCode::None when valid.
 Error validate_host_config(const HostConfig& config) noexcept;
 
 }  // namespace fabp::core

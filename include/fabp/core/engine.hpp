@@ -193,7 +193,7 @@ struct EngineCounters {
 /// backend set built over it.  Constructing the backends over a fresh
 /// snapshot is what "shard plans rebuilt per generation" means — the
 /// ShardedBackend constructor reslices the new store immediately — and it
-/// also guarantees no stale derived artifacts (planes, tile CRCs) can
+/// also guarantees no stale derived artifacts (tile CRCs) can
 /// survive a swap.  Requests pin this whole object for their lifetime;
 /// the last pin dropping reclaims strands, slices and caches in one sweep
 /// (see VersionedStore).
@@ -362,7 +362,7 @@ class Engine {
   /// Single-database facade (the Session path): publishes a new generation
   /// of kDefaultDatabase.  In-flight requests finish on the snapshot they
   /// were admitted under; fresh backends per generation preserve the
-  /// "no stale planes/CRCs after re-upload" contract byte-compatibly.
+  /// "no stale CRCs after re-upload" contract byte-compatibly.
   void upload_reference(const bio::NucleotideSequence& reference);
   void upload_reference(bio::PackedNucleotides reference);
 
@@ -417,7 +417,8 @@ class Engine {
                          std::uint32_t threshold, std::size_t bytes) const;
 
   /// Pure-software scans of the resident reference (Session::software_hits
-  /// contracts; caller must have uploaded a reference).
+  /// contracts; caller must have uploaded a reference).  software_hits is
+  /// software_hits_batch of one query.
   std::vector<Hit> software_hits(const bio::ProteinSequence& query,
                                  std::uint32_t threshold,
                                  util::ThreadPool* pool = nullptr);
@@ -455,23 +456,28 @@ class Engine {
   HealthState health() const;
   const std::vector<hw::FaultEvent>& fault_log() const;
 
-  /// Device batch scheduler accounting of the default database's active
-  /// backend (all-zero for the software backends).  With sharding this is
-  /// the *merged* cross-card view (counts summed, makespans max'ed — see
-  /// ShardedBackend).  Takes the execution lock for a stable snapshot.
-  DevicePipelineStats pipeline_stats() const;
+  /// Device batch scheduler accounting of the named database's active
+  /// backend (all-zero for the software backends and unknown databases).
+  /// With sharding this is the *merged* cross-card view (counts summed,
+  /// makespans max'ed — see ShardedBackend).  Takes the execution lock for
+  /// a stable snapshot.
+  DevicePipelineStats pipeline_stats(
+      const std::string& database = kDefaultDatabase) const;
 
   /// Per-shard router view (owned ranges, health, queue depths, recovery,
-  /// per-card pipeline stats) of the default database's active generation.
-  /// Empty when shard_count == 1 (no router).  Takes the execution lock
-  /// for a stable snapshot.
-  std::vector<ShardStatus> shard_status() const;
+  /// per-card pipeline stats) of the named database's active generation.
+  /// Empty when shard_count == 1 (no router) or the database is unknown.
+  /// Takes the execution lock for a stable snapshot.
+  std::vector<ShardStatus> shard_status(
+      const std::string& database = kDefaultDatabase) const;
   std::size_t shard_count() const noexcept {
     return config_.shard.shard_count > 1 ? config_.shard.shard_count : 1;
   }
-  /// Router scatter/gather wall time of the active generation (0 when
-  /// unsharded).  Execution-lock stable like pipeline_stats().
-  double shard_overhead_seconds() const;
+  /// Router scatter/gather wall time of the named database's active
+  /// generation (0 when unsharded).  Execution-lock stable like
+  /// pipeline_stats().
+  double shard_overhead_seconds(
+      const std::string& database = kDefaultDatabase) const;
 
  private:
   using StatePtr = std::shared_ptr<detail::RequestState>;

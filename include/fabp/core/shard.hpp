@@ -82,7 +82,7 @@ struct ShardStatus {
 /// N ScanBackend cards behind one ScanBackend face.  kind() reports the
 /// primary backend kind, so the engine and facade stay oblivious.
 /// Thread-safety contract matches every other backend: external
-/// serialization of run/run_many/scan_* / invalidate (the engine's
+/// serialization of run/run_many/scan_batch/invalidate (the engine's
 /// exec_mutex_); the internal shard workers only parallelize *inside* one
 /// such call.
 class ShardedBackend final : public ScanBackend {
@@ -106,10 +106,6 @@ class ShardedBackend final : public ScanBackend {
       std::span<const CompiledQueryPtr> queries,
       std::span<const std::uint32_t> thresholds, bool reverse_strand,
       util::ThreadPool* pool) override;
-  std::vector<Hit> scan_one(const CompiledQuery& query,
-                            std::uint32_t threshold,
-                            util::ThreadPool* pool) override;
-  bool supports_precomputed_hits() const noexcept override;
   /// Worst health over the fleet (Degraded if any card degraded).
   HealthState health() const noexcept override;
   /// Union of every card's fault log, appended in gather order.

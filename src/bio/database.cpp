@@ -1,10 +1,12 @@
 #include "fabp/bio/database.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 
 namespace fabp::bio {
@@ -168,6 +170,26 @@ ReferenceDatabase ReferenceDatabase::load_file(const std::string& path) {
   std::ifstream in{path, std::ios::binary};
   if (!in) throw std::runtime_error{"cannot open " + path};
   return load(in);
+}
+
+PackedNucleotides read_reference(std::istream& in) {
+  if (in.peek() == '>') {
+    const ReferenceDatabase db = ReferenceDatabase::from_fasta(read_fasta(in));
+    const PackedNucleotides& packed = db.packed();
+    if (db.record_count() == 0) return packed;
+    return packed.slice(0, packed.size() - ReferenceDatabase::kGuardElements);
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  std::string text = buffer.str();
+  std::erase_if(text, [](unsigned char ch) { return std::isspace(ch); });
+  return PackedNucleotides{NucleotideSequence::parse(SeqKind::Dna, text)};
+}
+
+PackedNucleotides read_reference_file(const std::string& path) {
+  std::ifstream in{path};
+  if (!in) throw std::runtime_error{"cannot open reference file: " + path};
+  return read_reference(in);
 }
 
 }  // namespace fabp::bio

@@ -84,8 +84,7 @@ const FabpMapping& Accelerator::load_encoded(EncodedQuery query) {
 }
 
 AcceleratorRun Accelerator::run(
-    const bio::PackedNucleotides& reference,
-    const std::vector<Hit>* precomputed_hits) const {
+    const bio::PackedNucleotides& reference) const {
   if (query_.empty())
     throw std::logic_error{"Accelerator: no query loaded"};
 
@@ -102,32 +101,23 @@ AcceleratorRun Accelerator::run(
   const std::size_t total_beats = reference.beat_count();
   const std::size_t last_position = lr - lq;  // inclusive
 
-  // Default functional path: the bit-sliced scan engine produces the hit
-  // list up front (bit-exact with the per-position behavioral evaluation —
-  // see tests/core/bitscan_test.cpp), and the beat loop degenerates to
-  // pure cycle accounting — shared with the device batch scheduler as
-  // stream_beat_timing().  The LUT path keeps the element-by-element
-  // evaluation through the generated comparator LUTs as the oracle.
+  // Cycle accounting is shared with the device batch scheduler as
+  // stream_beat_timing().  The default functional path is the bit-sliced
+  // scan engine (bit-exact with the per-position behavioral evaluation —
+  // see tests/core/bitscan_test.cpp); the LUT path keeps the
+  // element-by-element evaluation through the generated comparator LUTs
+  // as the oracle.
+  const StreamBeatTiming timing = stream_beat_timing(
+      config_.axi, nullptr, total_beats, mapping_.channels, mapping_.segments);
+  out.beats = timing.beats;
+  out.stall_cycles = timing.stall_cycles;
+  out.compute_cycles = timing.compute_cycles;
   if (!config_.use_lut_path) {
-    if (precomputed_hits) {
-      out.hits = *precomputed_hits;
-    } else if (use_tiled_scan()) {
-      // Tile-fused default: stream the 2-bit packed reference directly —
-      // no whole-reference plane compile before the first hit, and the
-      // run's working set beyond the packed store is one scan tile.
-      out.hits = TileScanner{reference}.hits(BitScanQuery{elements_},
-                                             config_.threshold);
-    } else {
-      out.hits = bitscan_hits(BitScanQuery{elements_},
-                              BitScanReference{reference},
-                              config_.threshold);
-    }
-    const StreamBeatTiming timing =
-        stream_beat_timing(config_.axi, config_.fault_injector, total_beats,
-                           mapping_.channels, mapping_.segments);
-    out.beats = timing.beats;
-    out.stall_cycles = timing.stall_cycles;
-    out.compute_cycles = timing.compute_cycles;
+    // The tile-fused scan streams the 2-bit packed reference directly: no
+    // whole-reference plane compile before the first hit, and the run's
+    // working set beyond the packed store is one scan tile.
+    out.hits = TileScanner{reference}.hits(BitScanQuery{elements_},
+                                           config_.threshold);
     finalize_timing(out, lr);
     return out;
   }
@@ -136,41 +126,7 @@ AcceleratorRun Accelerator::run(
   // (§III-C: L_ref_stream = L_q + 256).  Front-padded with A for beat 0.
   std::vector<Nucleotide> window(lq + elements_per_beat, Nucleotide::A);
 
-  hw::FaultyAxiStream axi{config_.axi, config_.fault_injector};
-  constexpr std::size_t kFifoDepth = 8;  // AXI read FIFO, in beat groups
-  const std::size_t channels = std::max<std::size_t>(1, mapping_.channels);
-  const std::size_t total_groups = util::ceil_div(total_beats, channels);
-  std::size_t fetched_groups = 0, fifo = 0, busy = 0;
-
   for (std::size_t beat = 0; beat < total_beats; ++beat) {
-    // Beats arrive in lockstep groups of `channels` per cycle; the AXI
-    // side refills the FIFO every cycle it can, so when the datapath is
-    // segmented (busy cycles) DRAM stalls hide behind compute.  Cycle
-    // accounting happens once per group; one iteration of the inner loop
-    // = one cycle.
-    if (beat % channels == 0) {
-      for (;;) {
-        if (fetched_groups < total_groups && fifo < kFifoDepth &&
-            axi.advance()) {
-          ++fifo;
-          ++fetched_groups;
-        }
-        if (busy > 0) {
-          --busy;
-          ++out.compute_cycles;
-          continue;
-        }
-        if (fifo == 0) {
-          ++out.stall_cycles;
-          continue;
-        }
-        break;  // a group is ready and the datapath is free: consume it
-      }
-      --fifo;
-      busy = mapping_.segments - 1;
-    }
-    ++out.beats;
-
     // Shift the tail and load the 256 new elements from the beat words.
     std::copy(window.end() - static_cast<std::ptrdiff_t>(lq), window.end(),
               window.begin());
@@ -211,9 +167,7 @@ AcceleratorRun Accelerator::run(
         if (score >= config_.threshold) out.hits.push_back(Hit{p, score});
       }
     }
-
   }
-  out.compute_cycles += busy;  // drain the last beat's segment cycles
 
   finalize_timing(out, lr);
   return out;

@@ -117,14 +117,29 @@ InvocationStrandTiming invocation_strand_timing(
 }
 
 // ---------------------------------------------------------------------------
-// Software backends: tile-fused and precompiled-plane scans share the run()
-// shape (scan both strands, map the reverse list, report wall time); only
-// the strand-scan primitive differs.
+// Software backend: the tile-fused scan of both strands, reporting wall
+// time.  The hw-sim backend shares its batch scan for precompute.
 
-class SoftwareBackendBase : public ScanBackend {
+std::vector<std::vector<Hit>> tiled_scan_batch(
+    const ReferenceStore& store, const TileScanConfig& tile,
+    std::span<const CompiledQueryPtr> queries,
+    std::span<const std::uint32_t> thresholds, bool reverse_strand,
+    util::ThreadPool* pool) {
+  std::vector<BitScanQuery> scans;
+  scans.reserve(queries.size());
+  for (const CompiledQueryPtr& query : queries) scans.push_back(query->scan);
+  return TileScanner{store.strand(reverse_strand), tile}.hits_batch(
+      scans, thresholds, pool);
+}
+
+class TiledSoftwareBackend final : public ScanBackend {
  public:
-  SoftwareBackendBase(const HostConfig& config, const ReferenceStore& store)
+  TiledSoftwareBackend(const HostConfig& config, const ReferenceStore& store)
       : config_{config}, store_{store} {}
+
+  BackendKind kind() const noexcept override { return BackendKind::Tiled; }
+
+  void invalidate() override {}  // nothing cached: the scan streams packed words
 
   Expected<BackendRun> run(const BackendRequest& request) override {
     if (!store_.uploaded)
@@ -149,146 +164,42 @@ class SoftwareBackendBase : public ScanBackend {
     return out;
   }
 
-  std::vector<Hit> scan_one(const CompiledQuery& query,
-                            std::uint32_t threshold,
-                            util::ThreadPool* pool) override {
-    return strand_hits(query, threshold, false, pool);
+  std::vector<std::vector<Hit>> scan_batch(
+      std::span<const CompiledQueryPtr> queries,
+      std::span<const std::uint32_t> thresholds, bool reverse_strand,
+      util::ThreadPool* pool) override {
+    return tiled_scan_batch(store_, config_.tile, queries, thresholds,
+                            reverse_strand, pool);
   }
 
- protected:
+ private:
   /// Raw hits of one strand's store (RC coordinates for the reverse one).
-  virtual std::vector<Hit> strand_hits(const CompiledQuery& query,
-                                       std::uint32_t threshold,
-                                       bool reverse_strand,
-                                       util::ThreadPool* pool) = 0;
+  std::vector<Hit> strand_hits(const CompiledQuery& query,
+                               std::uint32_t threshold, bool reverse_strand,
+                               util::ThreadPool* pool) const {
+    return TileScanner{store_.strand(reverse_strand), config_.tile}.hits(
+        query.scan, threshold, pool);
+  }
 
   const HostConfig& config_;
   const ReferenceStore& store_;
 };
 
-class TiledSoftwareBackend final : public SoftwareBackendBase {
- public:
-  using SoftwareBackendBase::SoftwareBackendBase;
-
-  BackendKind kind() const noexcept override { return BackendKind::Tiled; }
-
-  void invalidate() override {}  // nothing cached: the scan streams packed words
-
-  std::vector<std::vector<Hit>> scan_batch(
-      std::span<const CompiledQueryPtr> queries,
-      std::span<const std::uint32_t> thresholds, bool reverse_strand,
-      util::ThreadPool* pool) override {
-    std::vector<BitScanQuery> scans;
-    scans.reserve(queries.size());
-    for (const CompiledQueryPtr& query : queries) scans.push_back(query->scan);
-    return TileScanner{store_.strand(reverse_strand), config_.tile}.hits_batch(
-        scans, thresholds, pool);
-  }
-
- private:
-  std::vector<Hit> strand_hits(const CompiledQuery& query,
-                               std::uint32_t threshold, bool reverse_strand,
-                               util::ThreadPool* pool) override {
-    return TileScanner{store_.strand(reverse_strand), config_.tile}.hits(
-        query.scan, threshold, pool);
-  }
-};
-
-class PlanesSoftwareBackend final : public SoftwareBackendBase {
- public:
-  using SoftwareBackendBase::SoftwareBackendBase;
-
-  BackendKind kind() const noexcept override { return BackendKind::Planes; }
-
-  void invalidate() override {
-    forward_ready_ = reverse_ready_ = false;
-    forward_ = BitScanReference{};
-    reverse_ = BitScanReference{};
-  }
-
-  std::vector<std::vector<Hit>> scan_batch(
-      std::span<const CompiledQueryPtr> queries,
-      std::span<const std::uint32_t> thresholds, bool reverse_strand,
-      util::ThreadPool* pool) override {
-    // Compiling both strands up front lets the reverse compile overlap the
-    // forward one on the pool (see ensure_planes) — the engine's forward
-    // batch pass pays the whole compile, the reverse pass finds it cached.
-    ensure_planes(config_.search_both_strands, pool);
-    std::vector<BitScanQuery> scans;
-    scans.reserve(queries.size());
-    for (const CompiledQueryPtr& query : queries) scans.push_back(query->scan);
-    return bitscan_hits_batch(scans, planes(reverse_strand), thresholds, pool);
-  }
-
- private:
-  std::vector<Hit> strand_hits(const CompiledQuery& query,
-                               std::uint32_t threshold, bool reverse_strand,
-                               util::ThreadPool* pool) override {
-    const BitScanReference& reference = planes(reverse_strand);
-    return pool ? bitscan_hits_parallel(query.scan, reference, threshold,
-                                        *pool)
-                : bitscan_hits(query.scan, reference, threshold);
-  }
-
-  /// Lazily compiled planes of one strand's resident store.
-  const BitScanReference& planes(bool reverse_strand) {
-    auto& planes = reverse_strand ? reverse_ : forward_;
-    bool& ready = reverse_strand ? reverse_ready_ : forward_ready_;
-    if (!ready) {
-      planes = BitScanReference{store_.strand(reverse_strand)};
-      ready = true;
-    }
-    return planes;
-  }
-
-  /// Overlap the strand compiles: the reverse planes build on a pool
-  /// worker while the caller builds the forward planes — with both strands
-  /// the compile wall-time halves.
-  void ensure_planes(bool both_strands, util::ThreadPool* pool) {
-    std::future<void> reverse_done;
-    if (both_strands && !reverse_ready_ && pool)
-      reverse_done =
-          pool->submit([this] { reverse_ = BitScanReference{store_.reverse}; });
-    planes(false);
-    if (reverse_done.valid()) {
-      reverse_done.get();
-      reverse_ready_ = true;
-    } else if (both_strands) {
-      planes(true);
-    }
-  }
-
-  BitScanReference forward_;
-  BitScanReference reverse_;
-  bool forward_ready_ = false;
-  bool reverse_ready_ = false;
-};
-
 // ---------------------------------------------------------------------------
-// Hardware-simulation backend: the Accelerator cycle model wrapped in the
-// fault-detection / bounded-retry / degradation machinery (moved here from
-// the pre-refactor Session — the behavior, stream seeding and accounting
-// are unchanged and still pinned by tests/core/chaos_test.cpp).
+// Hardware-simulation backend: the device batch scheduler's cycle model
+// wrapped in the fault-detection / bounded-retry / degradation machinery.
+// A single run() is a one-task invocation; the behavior, stream seeding and
+// accounting are pinned by tests/core/chaos_test.cpp and the scheduler
+// suite.
 
 class HwSimBackend final : public ScanBackend {
  public:
   HwSimBackend(const HostConfig& config, const ReferenceStore& store)
-      : config_{config},
-        store_{store},
-        software_{make_backend(software_backend_kind(config.scan_path), config,
-                               store)} {}
+      : config_{config}, store_{store} {}
 
   BackendKind kind() const noexcept override { return BackendKind::HwSim; }
 
-  void invalidate() override {
-    ref_crcs_ready_ = rev_crcs_ready_ = false;
-    software_->invalidate();
-  }
-
-  bool supports_precomputed_hits() const noexcept override {
-    // The LUT oracle path always evaluates element by element.
-    return !config_.accelerator.use_lut_path;
-  }
+  void invalidate() override { ref_crcs_ready_ = rev_crcs_ready_ = false; }
 
   HealthState health() const noexcept override { return health_; }
 
@@ -300,24 +211,19 @@ class HwSimBackend final : public ScanBackend {
       std::span<const CompiledQueryPtr> queries,
       std::span<const std::uint32_t> thresholds, bool reverse_strand,
       util::ThreadPool* pool) override {
-    // Precompute through the configured software path (scan_path picks
-    // tiled or cached planes), exactly as the pre-refactor align_batch.
-    return software_->scan_batch(queries, thresholds, reverse_strand, pool);
+    return tiled_scan_batch(store_, config_.tile, queries, thresholds,
+                            reverse_strand, pool);
   }
 
-  std::vector<Hit> scan_one(const CompiledQuery& query,
-                            std::uint32_t threshold,
-                            util::ThreadPool* pool) override {
-    return software_->scan_one(query, threshold, pool);
+  Expected<BackendRun> run(const BackendRequest& request) override {
+    return std::move(run_many({&request, 1}).front());
   }
-
-  Expected<BackendRun> run(const BackendRequest& request) override;
 
   /// Device batch scheduler (DESIGN.md §4d): packs the coalesced requests
   /// into fixed-capacity device invocations, stages the next invocations'
   /// clean hit lists concurrently (the ping/pong DMA buffers), commits in
   /// order with invocation-granular fault machinery, and deschedules
-  /// per-PE hit streams back per request — bit-identical to serial run().
+  /// per-PE hit streams back per request.
   std::vector<Expected<BackendRun>> run_many(
       std::span<const BackendRequest> requests) override;
 
@@ -354,13 +260,6 @@ class HwSimBackend final : public ScanBackend {
                          std::vector<Expected<BackendRun>>& results,
                          std::vector<hw::PipelineStage>& stages);
 
-  bool faulty_strand_run(const CompiledQuery& query, std::uint32_t threshold,
-                         const bio::PackedNucleotides& store,
-                         bool reverse_strand,
-                         const std::vector<Hit>* precomputed,
-                         RecoveryStats& stats, Error& error,
-                         AcceleratorRun& out);
-
   /// Packed words per integrity tile (the PR 3 tile geometry).
   std::size_t tile_words() const noexcept {
     const std::size_t positions = std::max<std::size_t>(
@@ -388,7 +287,6 @@ class HwSimBackend final : public ScanBackend {
 
   const HostConfig& config_;
   const ReferenceStore& store_;
-  std::unique_ptr<ScanBackend> software_;  // precompute + software_hits path
 
   // Fault-tolerance state: upload-time tile checksums (lazy, fault paths
   // only), the health machine, and the backend-lifetime fault schedule.
@@ -398,322 +296,13 @@ class HwSimBackend final : public ScanBackend {
   bool rev_crcs_ready_ = false;
   HealthState health_ = HealthState::Healthy;
   std::size_t consecutive_failures_ = 0;
-  /// Device invocations issued: serial run() calls and packed batches
-  /// share the counter, and it seeds the fault streams — so a replay with
-  /// the same request sequence draws the same schedules at any batch
+  /// Device invocations issued.  It seeds the fault streams, so a replay
+  /// with the same request sequence draws the same schedules at any batch
   /// capacity or buffer depth.
   std::uint64_t invocation_ = 0;
   std::vector<hw::FaultEvent> fault_log_;
   DevicePipelineStats pipeline_;  ///< lifetime scheduler accounting
 };
-
-bool HwSimBackend::faulty_strand_run(const CompiledQuery& query,
-                                     std::uint32_t threshold,
-                                     const bio::PackedNucleotides& store,
-                                     bool reverse_strand,
-                                     const std::vector<Hit>* precomputed,
-                                     RecoveryStats& stats, Error& error,
-                                     AcceleratorRun& out) {
-  const RecoveryConfig& rec = config_.recovery;
-  const std::size_t lq = query.encoded.size();
-  const std::size_t valid_positions =
-      store.size() >= lq ? store.size() - lq + 1 : 0;
-  const BitScanQuery& compiled = query.scan;
-  const std::size_t max_attempts = std::max<std::size_t>(1, rec.max_attempts);
-
-  for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    ++stats.attempts;
-    // Stream index is a pure function of (invocation, attempt, strand):
-    // retries draw independent schedules, replays draw identical ones.
-    const std::uint64_t stream =
-        (invocation_ << 8) | (attempt << 1) | (reverse_strand ? 1u : 0u);
-    hw::FaultInjector injector{config_.fault, stream};
-
-    ErrorCode failure = ErrorCode::None;
-    AcceleratorRun run;
-    if (injector.transfer_fails()) {
-      failure = ErrorCode::TransferFailure;
-      ++stats.transfer_faults;
-    } else {
-      AcceleratorConfig acc_config = config_.accelerator;
-      acc_config.threshold = threshold;
-      acc_config.fault_injector = &injector;  // stall storms inflate time
-      Accelerator accelerator{acc_config};
-      accelerator.load_encoded(query.encoded);
-      run = accelerator.run(store, precomputed);
-      if (rec.watchdog_s > 0.0 && run.kernel_seconds > rec.watchdog_s) {
-        failure = ErrorCode::Timeout;
-        ++stats.timeouts;
-      }
-    }
-
-    if (failure != ErrorCode::None) {
-      const auto& log = injector.log();
-      fault_log_.insert(fault_log_.end(), log.begin(), log.end());
-      if (attempt + 1 < max_attempts) {
-        ++stats.retries;
-        stats.recovery_s += rec.backoff_base_s *
-                            static_cast<double>(std::uint64_t{1} << attempt);
-        continue;
-      }
-      error = Error{failure,
-                    failure == ErrorCode::Timeout
-                        ? "kernel watchdog deadline exceeded on every attempt"
-                        : "PCIe transfer failed on every attempt",
-                    stats.attempts};
-      return false;
-    }
-
-    // --- data-path corruption over the streamed reference -------------
-    // The schedule says which beats were hit; corruption lands on a copy
-    // of the packed store, per-tile CRCs against the upload-time
-    // checksums localise it, and detected tiles are repaired by
-    // re-scanning only the positions whose window can read a corrupted
-    // element.  With verify_integrity off the corrupted hits are
-    // delivered as-is — that is what the chaos divergence test observes.
-    const std::vector<hw::FaultEvent> events =
-        injector.data_events(store.beat_count());
-    if (!events.empty() && valid_positions > 0) {
-      const std::span<const std::uint64_t> words = store.words();
-      const std::size_t tw = tile_words();
-      std::vector<std::uint64_t> corrupted =
-          hw::corrupt_words(words, events, tw);
-
-      std::vector<std::size_t> tiles;
-      for (const hw::FaultEvent& event : events) {
-        const std::size_t w = event.beat * (hw::kAxiDataBits / 64);
-        if (data_fault(event.kind) && w < words.size())
-          tiles.push_back(w / tw);
-      }
-      std::sort(tiles.begin(), tiles.end());
-      tiles.erase(std::unique(tiles.begin(), tiles.end()), tiles.end());
-
-      std::vector<Interval> corrupt_ranges, repair_ranges;
-      for (std::size_t t : tiles) {
-        const std::size_t wb = t * tw;
-        const std::size_t we = std::min(words.size(), wb + tw);
-        // A fault can be a data no-op (e.g. a duplicated beat identical
-        // to its successor): only tiles whose words actually changed
-        // affect the scan.
-        if (std::equal(words.begin() + static_cast<std::ptrdiff_t>(wb),
-                       words.begin() + static_cast<std::ptrdiff_t>(we),
-                       corrupted.begin() + static_cast<std::ptrdiff_t>(wb)))
-          continue;
-        const std::size_t el_begin = wb * bio::kElementsPerWord;
-        const std::size_t el_end =
-            std::min(store.size(), we * bio::kElementsPerWord);
-        const Interval range{el_begin > lq - 1 ? el_begin - (lq - 1) : 0,
-                             std::min(el_end, valid_positions)};
-        if (range.begin >= range.end) continue;
-        corrupt_ranges.push_back(range);
-        if (rec.verify_integrity) {
-          // Detection: the streamed tile's CRC vs the upload checksum.
-          const std::uint32_t got =
-              util::crc32_words(std::span{corrupted}.subspan(wb, we - wb));
-          if (got != tile_crcs(reverse_strand)[t]) {
-            ++stats.crc_faults;
-            ++stats.rescanned_tiles;
-            repair_ranges.push_back(range);
-            // Re-streaming the affected fraction of the reference.
-            stats.recovery_s += run.kernel_seconds *
-                                static_cast<double>(range.end - range.begin) /
-                                static_cast<double>(store.size());
-          }
-        }
-      }
-      corrupt_ranges = merge_intervals(std::move(corrupt_ranges));
-      repair_ranges = merge_intervals(std::move(repair_ranges));
-
-      if (!corrupt_ranges.empty()) {
-        // What the card actually delivered: hits scanned from the
-        // corrupted stream over every affected range.
-        const bio::PackedNucleotides corrupted_store =
-            bio::PackedNucleotides::from_words(std::move(corrupted),
-                                               store.size());
-        splice_ranges(run.hits, TileScanner{corrupted_store, config_.tile},
-                      compiled, threshold, corrupt_ranges);
-      }
-      if (!repair_ranges.empty()) {
-        // Chunk-granular repair: re-scan only the detected ranges from
-        // the resident (true) store.
-        splice_ranges(run.hits, TileScanner{store, config_.tile}, compiled,
-                      threshold, repair_ranges);
-      }
-    }
-
-    // --- readback integrity -------------------------------------------
-    std::uint32_t bit = 0;
-    if (injector.readback_corrupts(bit)) {
-      if (rec.verify_integrity) {
-        // The hit buffer's CRC fails on arrival; the DRAM copy is intact,
-        // so one re-read recovers it.
-        ++stats.readback_faults;
-        stats.recovery_s +=
-            (static_cast<double>(run.hits.size()) * 8.0 + 64.0) /
-            config_.pcie_bandwidth_bps;
-      } else if (!run.hits.empty()) {
-        Hit& victim = run.hits[bit % run.hits.size()];
-        victim.score ^= 1u << (bit % 8);
-      } else {
-        run.hits.push_back(Hit{0, threshold});  // spurious record
-      }
-    }
-
-    // --- golden spot-check sampler ------------------------------------
-    if (rec.spot_check_samples > 0 && valid_positions > 0) {
-      util::Xoshiro256 rng{
-          util::SplitMix64{config_.fault.seed ^ (0xfabc0de5ULL + stream)}
-              .next()};
-      const TileScanner scanner{store, config_.tile};
-      for (std::size_t k = 0; k < rec.spot_check_samples; ++k) {
-        ++stats.spot_checks;
-        const std::size_t begin = rng.bounded(valid_positions);
-        const std::size_t end = std::min(begin + 256, valid_positions);
-        std::vector<Hit> expected;
-        scanner.range(compiled, threshold, begin, end, expected);
-        const auto lo = std::lower_bound(
-            run.hits.begin(), run.hits.end(), begin,
-            [](const Hit& h, std::size_t p) { return h.position < p; });
-        const auto hi = std::lower_bound(
-            lo, run.hits.end(), end,
-            [](const Hit& h, std::size_t p) { return h.position < p; });
-        if (!std::equal(lo, hi, expected.begin(), expected.end())) {
-          ++stats.spot_check_faults;
-          const Interval window{begin, end};
-          splice_ranges(run.hits, scanner, compiled, threshold,
-                        std::span{&window, 1});
-        }
-      }
-    }
-
-    const auto& log = injector.log();
-    fault_log_.insert(fault_log_.end(), log.begin(), log.end());
-    out = std::move(run);
-    return true;
-  }
-  return false;  // unreachable: the loop returns on its last attempt
-}
-
-Expected<BackendRun> HwSimBackend::run(const BackendRequest& request) {
-  if (!store_.uploaded)
-    return Error{ErrorCode::NoReference, "Session: no reference uploaded"};
-  ++invocation_;
-  const CompiledQuery& query = *request.query;
-  const std::uint32_t threshold = request.threshold;
-
-  AcceleratorConfig acc_config = config_.accelerator;
-  acc_config.threshold = threshold;
-
-  const bool chaos = config_.fault.enabled() ||
-                     config_.recovery.spot_check_samples > 0 ||
-                     health_ != HealthState::Healthy;
-  if (!chaos) {
-    // Clean fast path: exactly the pre-fault pipeline (one branch above is
-    // the entire zero-fault overhead of this layer).
-    Accelerator accelerator{acc_config};
-    accelerator.load_encoded(query.encoded);
-    BackendRun out;
-    AcceleratorRun run = accelerator.run(store_.forward, request.forward_hits);
-    out.recovery.attempts = 1;
-
-    if (config_.search_both_strands) {
-      ++out.recovery.attempts;
-      AcceleratorRun rc_run =
-          accelerator.run(store_.reverse, request.reverse_hits);
-      out.reverse_hits = map_reverse_hits(
-          rc_run.hits, store_.forward.size(), query.encoded.size());
-      // Account the second pass in the kernel time.
-      run.cycles += rc_run.cycles;
-      run.kernel_seconds += rc_run.kernel_seconds;
-      run.joules += rc_run.joules;
-    }
-    out.hits = std::move(run.hits);
-    out.mapping = run.mapping;
-    out.cycles = run.cycles;
-    out.kernel_seconds = run.kernel_seconds;
-    out.watts = run.watts;
-    return out;
-  }
-
-  // Fault-tolerant path.
-  RecoveryStats stats;
-  Accelerator probe{acc_config};  // mapping + validation, no run
-  probe.load_encoded(query.encoded);
-  const FabpMapping mapping = probe.mapping();
-  const std::size_t lq = query.encoded.size();
-
-  // Degraded (or exhausted) strand runs are served by the pure-software
-  // tiled path against the resident store: zero card time, golden hits.
-  const auto fallback_strand = [&](const bio::PackedNucleotides& store,
-                                   const std::vector<Hit>* precomputed) {
-    AcceleratorRun run;
-    run.mapping = mapping;
-    run.hits = precomputed ? *precomputed
-                           : TileScanner{store, config_.tile}.hits(query.scan,
-                                                                   threshold);
-    ++stats.fallbacks;
-    return run;
-  };
-
-  const auto run_strand = [&](const bio::PackedNucleotides& store,
-                              bool reverse_strand,
-                              const std::vector<Hit>* precomputed,
-                              AcceleratorRun& out, Error& err) -> bool {
-    if (health_ == HealthState::Degraded) {
-      if (!config_.recovery.allow_software_fallback) {
-        err = Error{ErrorCode::DeviceLost,
-                    "session degraded and software fallback disabled", 0};
-        return false;
-      }
-      out = fallback_strand(store, precomputed);
-      return true;
-    }
-    Error strand_error;
-    if (faulty_strand_run(query, threshold, store, reverse_strand,
-                          precomputed, stats, strand_error, out)) {
-      consecutive_failures_ = 0;
-      return true;
-    }
-    ++consecutive_failures_;
-    if (consecutive_failures_ >=
-        std::max<std::size_t>(1, config_.recovery.degrade_after))
-      health_ = HealthState::Degraded;
-    if (config_.recovery.allow_software_fallback) {
-      out = fallback_strand(store, precomputed);
-      return true;
-    }
-    err = std::move(strand_error);
-    return false;
-  };
-
-  AcceleratorRun run;
-  Error error;
-  if (!run_strand(store_.forward, false, request.forward_hits, run, error))
-    return error;
-
-  std::vector<Hit> reverse_hits;
-  if (config_.search_both_strands) {
-    AcceleratorRun rc_run;
-    if (!run_strand(store_.reverse, true, request.reverse_hits, rc_run,
-                    error))
-      return error;
-    reverse_hits = map_reverse_hits(rc_run.hits, store_.forward.size(), lq);
-    run.cycles += rc_run.cycles;
-    run.kernel_seconds += rc_run.kernel_seconds;
-    run.joules += rc_run.joules;
-  }
-
-  stats.degraded = health_ == HealthState::Degraded;
-  BackendRun out;
-  out.hits = std::move(run.hits);
-  out.reverse_hits = std::move(reverse_hits);
-  out.mapping = run.mapping;
-  out.cycles = run.cycles;
-  out.kernel_seconds = run.kernel_seconds;
-  out.watts = run.watts;
-  out.recovery = stats;
-  return out;
-}
 
 // --- device batch scheduler (DESIGN.md §4d) --------------------------------
 
@@ -787,9 +376,9 @@ bool HwSimBackend::faulty_invocation_run(
 
   for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
     ++stats.attempts;
-    // Same stream keying as the serial path — the invocation counter makes
-    // a packed batch draw exactly the schedule a serial run in the same
-    // device-call position would (the depth-1 == depth-8 replay contract).
+    // Stream index is a pure function of (invocation, attempt, strand):
+    // retries draw independent schedules, and a replay of the same
+    // invocation sequence draws identical ones at any buffer depth.
     const std::uint64_t stream =
         (invocation_ << 8) | (attempt << 1) | (reverse_strand ? 1u : 0u);
     hw::FaultInjector injector{config_.fault, stream};
@@ -1165,9 +754,6 @@ std::vector<Expected<BackendRun>> HwSimBackend::run_many(
     std::span<const BackendRequest> requests) {
   std::vector<Expected<BackendRun>> results;
   if (requests.empty()) return results;
-  // The LUT oracle path evaluates element by element and cannot share one
-  // reference stream between packed queries — keep the serial loop.
-  if (config_.accelerator.use_lut_path) return ScanBackend::run_many(requests);
   if (!store_.uploaded) {
     results.reserve(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i)
@@ -1188,12 +774,13 @@ std::vector<Expected<BackendRun>> HwSimBackend::run_many(
       hw::pack_invocations(descs, batch);
   const std::size_t depth = std::max<std::size_t>(1, batch.buffer_depth);
 
-  // Ping/pong staging: while invocation k commits on this thread (every
-  // fault draw, every piece of mutable backend state), the clean hit
-  // lists of the next depth-1 invocations build concurrently — the host
-  // analogue of filling the idle DMA buffer during compute.  prepare
-  // touches only the const store and compiled queries, so commit order
-  // (and with it the fault stream sequence) is independent of depth.
+  // Ping/pong staging: while invocation k is prepared and committed on
+  // this thread (every fault draw, every piece of mutable backend state),
+  // the clean hit lists of the next depth-1 invocations build on worker
+  // threads — the host analogue of filling the idle DMA buffer during
+  // compute.  A call of one invocation starts no thread.  prepare touches
+  // only the const store and compiled queries, so commit order (and with
+  // it the fault stream sequence) is independent of depth.
   std::vector<std::future<std::vector<PreparedTask>>> staged(
       invocations.size());
   std::vector<hw::PipelineStage> stages;
@@ -1201,7 +788,7 @@ std::vector<Expected<BackendRun>> HwSimBackend::run_many(
   results.reserve(requests.size());
   for (std::size_t k = 0; k < invocations.size(); ++k) {
     const std::size_t horizon = std::min(invocations.size(), k + depth);
-    for (std::size_t j = k; j < horizon; ++j) {
+    for (std::size_t j = k + 1; j < horizon; ++j) {
       if (staged[j].valid()) continue;
       staged[j] = std::async(std::launch::async,
                              [this, requests, &invocations, j] {
@@ -1209,8 +796,11 @@ std::vector<Expected<BackendRun>> HwSimBackend::run_many(
                                                          invocations[j]);
                              });
     }
-    commit_invocation(requests, invocations[k], staged[k].get(), results,
-                      stages);
+    commit_invocation(requests, invocations[k],
+                      staged[k].valid()
+                          ? staged[k].get()
+                          : prepare_invocation(requests, invocations[k]),
+                      results, stages);
   }
 
   // Modeled pipeline: the same invocations through the ping/pong timeline
@@ -1235,13 +825,8 @@ const char* to_string(BackendKind kind) noexcept {
   switch (kind) {
     case BackendKind::HwSim: return "hwsim";
     case BackendKind::Tiled: return "tiled";
-    case BackendKind::Planes: return "planes";
   }
   return "unknown";
-}
-
-BackendKind software_backend_kind(ScanPath path) noexcept {
-  return use_tiled_scan(path) ? BackendKind::Tiled : BackendKind::Planes;
 }
 
 const std::vector<hw::FaultEvent>& ScanBackend::fault_log() const noexcept {
@@ -1329,8 +914,6 @@ std::unique_ptr<ScanBackend> make_backend(BackendKind kind,
       return std::make_unique<HwSimBackend>(config, store);
     case BackendKind::Tiled:
       return std::make_unique<TiledSoftwareBackend>(config, store);
-    case BackendKind::Planes:
-      return std::make_unique<PlanesSoftwareBackend>(config, store);
   }
   return std::make_unique<TiledSoftwareBackend>(config, store);
 }
@@ -1394,6 +977,10 @@ Error validate_host_config(const HostConfig& config) noexcept {
     return std::isfinite(p) && p >= 0.0 && p <= 1.0;
   };
 
+  if (config.accelerator.use_lut_path)
+    return invalid(
+        "accelerator.use_lut_path is the Accelerator-level oracle; the "
+        "hw-sim backend serves through the device batch scheduler");
   if (config.tile.tile_positions == 0)
     return invalid("tile.tile_positions must be positive");
   if (config.tile.tile_positions > (std::size_t{1} << 30))

@@ -210,7 +210,7 @@ std::uint64_t Engine::upload_database(const std::string& name,
   // constructing the backend set and recutting shard slices can be
   // expensive, and in-flight scans keep serving the old snapshot the
   // whole time.  A scan after the swap can never read stale derived
-  // artifacts (planes, tile checksums) because the new generation's
+  // artifacts (tile checksums) because the new generation's
   // backends were built over the new store — the invalidate-on-upload
   // contract regression-tested in host_test.cpp, now by construction.
   auto gen = std::make_shared<Generation>();
@@ -443,9 +443,7 @@ ScanBackend& Engine::route_backend(Database& db, Generation& gen) {
       if (shard.health != HealthState::Degraded) return *gen.backend;
   }
   if (gen.fallback == nullptr)
-    gen.fallback = make_backend(
-        software_backend_kind(config_.host.scan_path), config_.host,
-        gen.store);
+    gen.fallback = make_backend(BackendKind::Tiled, config_.host, gen.store);
   gen.fallback_engaged = true;
   db.degraded.store(true, std::memory_order_relaxed);
   gen.fallback_batches.fetch_add(1, std::memory_order_relaxed);
@@ -501,8 +499,7 @@ void Engine::execute_batch(std::vector<StatePtr> batch) {
   // the results are bit-identical to sequential align_sync calls.
   std::vector<std::vector<Hit>> forward, reverse;
   bool precomputed = false;
-  if (batch.size() >= 2 && gen->store.uploaded &&
-      backend.supports_precomputed_hits()) {
+  if (batch.size() >= 2 && gen->store.uploaded) {
     std::vector<CompiledQueryPtr> queries;
     std::vector<std::uint32_t> thresholds;
     queries.reserve(batch.size());
@@ -627,26 +624,22 @@ Expected<BatchReport> Engine::align_batch_sync(
   std::lock_guard lock{db.exec_mutex};
 
   // One multi-query pass over the reference produces every hit list up
-  // front — on the default tiled path each freshly compiled tile is
-  // scored against the whole batch while hot in cache; the Planes escape
-  // hatch streams the cached whole-reference plane words instead.  The
-  // per-query runs below then reduce to cycle/energy accounting.  The LUT
-  // oracle path keeps its own evaluation.
-  std::vector<std::vector<Hit>> forward, reverse;
-  const bool precompute = gen->backend->supports_precomputed_hits();
-  if (precompute) {
-    forward = gen->backend->scan_batch(compiled, thresholds, false, pool);
-    if (config_.host.search_both_strands)
-      reverse = gen->backend->scan_batch(compiled, thresholds, true, pool);
-  }
+  // front — each freshly compiled tile is scored against the whole batch
+  // while hot in cache.  The per-query runs below then reduce to
+  // cycle/energy accounting.
+  std::vector<std::vector<Hit>> forward =
+      gen->backend->scan_batch(compiled, thresholds, false, pool);
+  std::vector<std::vector<Hit>> reverse;
+  if (config_.host.search_both_strands)
+    reverse = gen->backend->scan_batch(compiled, thresholds, true, pool);
 
   for (std::size_t i = 0; i < queries.size(); ++i) {
     BackendRequest request;
     request.query = compiled[i].get();
     request.threshold = thresholds[i];
-    request.forward_hits = precompute ? &forward[i] : nullptr;
+    request.forward_hits = &forward[i];
     request.reverse_hits =
-        precompute && config_.host.search_both_strands ? &reverse[i] : nullptr;
+        config_.host.search_both_strands ? &reverse[i] : nullptr;
     request.pool = pool;
     Expected<BackendRun> run = gen->backend->run(request);
     if (!run) return run.error();
@@ -676,11 +669,8 @@ HostRunReport Engine::estimate(const bio::ProteinSequence& query,
 std::vector<Hit> Engine::software_hits(const bio::ProteinSequence& query,
                                        std::uint32_t threshold,
                                        util::ThreadPool* pool) {
-  CompiledQueryPtr compiled = compiler_.compile(query);
-  Database& db = *default_db_;
-  const std::shared_ptr<Generation> gen = pin_active(db);
-  std::lock_guard lock{db.exec_mutex};
-  return gen->backend->scan_one(*compiled, threshold, pool);
+  return std::move(
+      software_hits_batch({&query, 1}, {&threshold, 1}, pool).front());
 }
 
 std::vector<std::vector<Hit>> Engine::software_hits_batch(
@@ -782,25 +772,30 @@ const std::vector<hw::FaultEvent>& Engine::fault_log() const {
   return pin_active(*default_db_)->backend->fault_log();
 }
 
-DevicePipelineStats Engine::pipeline_stats() const {
-  Database& db = *default_db_;
-  const std::shared_ptr<Generation> gen = pin_active(db);
-  std::lock_guard lock{db.exec_mutex};
+DevicePipelineStats Engine::pipeline_stats(
+    const std::string& database) const {
+  Database* db = find_database(database);
+  if (db == nullptr) return {};
+  const std::shared_ptr<Generation> gen = pin_active(*db);
+  std::lock_guard lock{db->exec_mutex};
   return gen->backend->pipeline_stats();
 }
 
-std::vector<ShardStatus> Engine::shard_status() const {
-  Database& db = *default_db_;
-  const std::shared_ptr<Generation> gen = pin_active(db);
-  std::lock_guard lock{db.exec_mutex};
+std::vector<ShardStatus> Engine::shard_status(
+    const std::string& database) const {
+  Database* db = find_database(database);
+  if (db == nullptr) return {};
+  const std::shared_ptr<Generation> gen = pin_active(*db);
+  std::lock_guard lock{db->exec_mutex};
   return gen->sharded != nullptr ? gen->sharded->shard_status()
                                  : std::vector<ShardStatus>{};
 }
 
-double Engine::shard_overhead_seconds() const {
-  Database& db = *default_db_;
-  const std::shared_ptr<Generation> gen = pin_active(db);
-  std::lock_guard lock{db.exec_mutex};
+double Engine::shard_overhead_seconds(const std::string& database) const {
+  Database* db = find_database(database);
+  if (db == nullptr) return 0.0;
+  const std::shared_ptr<Generation> gen = pin_active(*db);
+  std::lock_guard lock{db->exec_mutex};
   return gen->sharded != nullptr
              ? gen->sharded->scatter_seconds() + gen->sharded->gather_seconds()
              : 0.0;

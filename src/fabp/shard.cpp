@@ -144,8 +144,7 @@ ShardedBackend::ShardedBackend(BackendKind kind, const HostConfig& config,
     }
     sh->primary = make_backend(kind_, sh->config, sh->store);
     if (kind_ == BackendKind::HwSim)
-      sh->fallback = make_backend(software_backend_kind(sh->config.scan_path),
-                                  sh->config, sh->store);
+      sh->fallback = make_backend(BackendKind::Tiled, sh->config, sh->store);
     shards_.push_back(std::move(sh));
   }
   reslice();
@@ -194,10 +193,6 @@ void ShardedBackend::invalidate() { reslice(); }
 
 std::size_t ShardedBackend::shard_count() const noexcept {
   return shards_.size();
-}
-
-bool ShardedBackend::supports_precomputed_hits() const noexcept {
-  return shards_.front()->primary->supports_precomputed_hits();
 }
 
 HealthState ShardedBackend::health() const noexcept {
@@ -488,47 +483,6 @@ std::vector<std::vector<Hit>> ShardedBackend::scan_batch(
   }
   gather_s_ += gather_timer.seconds();
   return out;
-}
-
-std::vector<Hit> ShardedBackend::scan_one(const CompiledQuery& query,
-                                          std::uint32_t threshold,
-                                          util::ThreadPool* pool) {
-  if (query.size() > shard_config_.max_query_elements)
-    throw std::invalid_argument{
-        "ShardedBackend::scan_one: query exceeds shard.max_query_elements"};
-  std::vector<std::vector<Hit>> shard_hits(shards_.size());
-  std::vector<std::future<void>> done;
-  done.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& sh = *shards_[s];
-    bool used_fallback = false;
-    ScanBackend* target =
-        sh.route(config_.recovery.allow_software_fallback, used_fallback);
-    done.push_back(
-        sh.enqueue([target, &query, threshold, pool, &results = shard_hits[s]] {
-          results = target->scan_one(query, threshold, pool);
-        }));
-  }
-  std::exception_ptr first_failure;
-  for (std::future<void>& future : done) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_failure) first_failure = std::current_exception();
-    }
-  }
-  if (first_failure) std::rethrow_exception(first_failure);
-
-  std::vector<Hit> merged;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& sh = *shards_[s];
-    const std::vector<Hit>& local = shard_hits[s];
-    for (auto it = local.begin(),
-              end = hit_lower_bound(local, sh.owned_elements());
-         it != end; ++it)
-      merged.push_back(Hit{it->position + sh.owned_begin, it->score});
-  }
-  return merged;
 }
 
 DevicePipelineStats ShardedBackend::pipeline_stats() const noexcept {

@@ -34,6 +34,21 @@ TEST(ReferenceDatabase, SingleRecordRoundTrip) {
     EXPECT_EQ(db.packed().get(i), seq[i]);
 }
 
+TEST(ReferenceDatabase, ReadReferenceKeepsInnerGuardsOnly) {
+  // Two FASTA records: the guard between them stays, the trailing one goes.
+  std::istringstream fasta{">a\nACGT\n>b\nGGCC\n"};
+  const PackedNucleotides packed = read_reference(fasta);
+  ASSERT_EQ(packed.size(), 8u + ReferenceDatabase::kGuardElements);
+  EXPECT_EQ(packed.get(0), Nucleotide::A);
+  EXPECT_EQ(packed.get(4), Nucleotide::A);  // guard
+  EXPECT_EQ(packed.get(4 + ReferenceDatabase::kGuardElements), Nucleotide::G);
+  EXPECT_EQ(packed.get(packed.size() - 1), Nucleotide::C);
+
+  // Raw ACGT text has no records and no guard.
+  std::istringstream raw{"ACG\nT \n"};
+  EXPECT_EQ(read_reference(raw).size(), 4u);
+}
+
 TEST(ReferenceDatabase, LocateMapsGlobalToRecord) {
   util::Xoshiro256 rng{703};
   ReferenceDatabase db;

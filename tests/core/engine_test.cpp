@@ -28,6 +28,53 @@ std::uint32_t half_threshold(const ProteinSequence& query) {
   return static_cast<std::uint32_t>(query.size() * 3 / 2);
 }
 
+// align_sync is a one-task device invocation, so it reports exactly what a
+// lone submit() of the same request does — hits, reverse hits, the
+// multi-PE kernel time and every recovery counter — under injected faults.
+TEST(Engine, AlignSyncMatchesSubmitOnMultiPeBothStrands) {
+  util::Xoshiro256 rng{913};
+  const NucleotideSequence ref = bio::random_dna(40'000, rng);
+  const ProteinSequence query = bio::random_protein(12, rng);
+  EngineConfig config;
+  config.host.search_both_strands = true;
+  config.host.device_batch.pe_count = 2;
+  config.host.fault.flip_rate = 3e-4;
+  config.host.fault.seed = 0x5eed;
+  config.host.recovery.spot_check_samples = 8;
+
+  Engine sync_engine{config};
+  sync_engine.upload_reference(NucleotideSequence{ref});
+  const Expected<HostRunReport> sync =
+      sync_engine.align_sync(query, half_threshold(query));
+  Engine async_engine{config};
+  async_engine.upload_reference(NucleotideSequence{ref});
+  const Expected<HostRunReport> async =
+      async_engine.submit(query, half_threshold(query)).wait();
+  ASSERT_TRUE(sync.has_value());
+  ASSERT_TRUE(async.has_value());
+
+  EXPECT_FALSE(sync->hits.empty());
+  EXPECT_EQ(sync->hits, async->hits);
+  EXPECT_EQ(sync->reverse_hits, async->reverse_hits);
+  EXPECT_GT(sync->kernel_s, 0.0);
+  EXPECT_EQ(sync->kernel_s, async->kernel_s);
+  const RecoveryStats& a = sync->recovery;
+  const RecoveryStats& b = async->recovery;
+  EXPECT_GT(a.crc_faults, 0u);
+  EXPECT_EQ(a.attempts, b.attempts);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.transfer_faults, b.transfer_faults);
+  EXPECT_EQ(a.timeouts, b.timeouts);
+  EXPECT_EQ(a.crc_faults, b.crc_faults);
+  EXPECT_EQ(a.readback_faults, b.readback_faults);
+  EXPECT_EQ(a.rescanned_tiles, b.rescanned_tiles);
+  EXPECT_EQ(a.spot_checks, b.spot_checks);
+  EXPECT_EQ(a.spot_check_faults, b.spot_check_faults);
+  EXPECT_EQ(a.fallbacks, b.fallbacks);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.recovery_s, b.recovery_s);
+}
+
 // The engine's core determinism contract: results of coalesced concurrent
 // submission are hit-for-hit identical to sequential Session::align of the
 // same queries — for every backend kind, both strands on.
@@ -37,7 +84,7 @@ TEST(Engine, CoalescedEqualsSequentialAllBackends) {
   const std::vector<ProteinSequence> queries = make_queries(48, rng);
 
   for (const BackendKind kind :
-       {BackendKind::HwSim, BackendKind::Tiled, BackendKind::Planes}) {
+       {BackendKind::HwSim, BackendKind::Tiled}) {
     EngineConfig config;
     config.host.search_both_strands = true;
     config.backend = kind;

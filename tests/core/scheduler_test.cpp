@@ -381,7 +381,7 @@ TEST(DeviceScheduler, EngineExposesPipelineStats) {
 
   // Software backends run no device pipeline: stats stay all-zero.
   EngineConfig software = config;
-  software.backend = BackendKind::Planes;
+  software.backend = BackendKind::Tiled;
   software.autostart = true;
   Engine software_engine{software};
   software_engine.upload_reference(NucleotideSequence{ref});

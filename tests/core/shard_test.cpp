@@ -121,7 +121,7 @@ TEST(Shard, BoundaryStraddlingAllBackendsAllCounts) {
     plant_reverse(ref, realization(query), rc_position);
 
     for (const BackendKind kind :
-         {BackendKind::HwSim, BackendKind::Tiled, BackendKind::Planes}) {
+         {BackendKind::HwSim, BackendKind::Tiled}) {
       EngineConfig unsharded = sharded_config(kind, 1);
       unsharded.shard.shard_count = 1;
       Engine truth{unsharded};
@@ -195,7 +195,7 @@ TEST(Shard, BatchPrecomputePathsMatchUnsharded) {
           << to_string(kind) << " query " << i;
     }
 
-    // software_hits / software_hits_batch (scan_one + forward scan_batch).
+    // software_hits / software_hits_batch (forward scan_batch).
     std::vector<std::uint32_t> thresholds;
     for (const ProteinSequence& q : queries)
       thresholds.push_back(static_cast<std::uint32_t>(q.size() * 3 / 2));

@@ -3,9 +3,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "fabp/bio/database.hpp"
 #include "fabp/bio/generate.hpp"
 #include "fabp/core/engine.hpp"
 
@@ -104,6 +107,24 @@ TEST(Tenant, RequestsRouteByDatabaseName) {
   EXPECT_EQ(b->hits, expected_b);
   EXPECT_EQ(a->generation, 1u);
   EXPECT_EQ(b->generation, 1u);
+}
+
+// A database served from FASTA is exactly its records: the guard after the
+// last record is not scanned.  KKKK back-translates to AAR codons, so on a
+// record of only C bases the 'A' guard is the only place it could score.
+TEST(Tenant, FastaDatabaseServesNoTrailingGuard) {
+  std::istringstream fasta{">only-c\n" + std::string(600, 'C') + "\n"};
+  bio::PackedNucleotides packed = bio::read_reference(fasta);
+  EXPECT_EQ(packed.size(), 600u);
+
+  Engine engine;
+  engine.upload_database("fasta", std::move(packed));
+  RequestOptions options;
+  options.database = "fasta";
+  const Expected<HostRunReport> report =
+      engine.submit(ProteinSequence::parse("KKKK"), 6, options).wait();
+  ASSERT_TRUE(report.has_value());
+  EXPECT_TRUE(report->hits.empty());
 }
 
 // A tenant's queue-depth quota bounds its own admissions without touching

@@ -6,9 +6,10 @@
 #   2. an AddressSanitizer build run with FABP_FORCE_ISA=swar64 — sanitizer
 #      coverage over the portable fallback kernel and the env-override
 #      dispatch path, and
-#   3. a ThreadSanitizer build running the pooled tiled-scan, thread-pool
-#      and serving-engine tests — race coverage over the tile-parallel
-#      merge, the concurrent strand-plane compile, and the engine's
+#   3. a ThreadSanitizer build running the pooled tiled-scan, chaos,
+#      Session, thread-pool and serving-engine tests — race coverage over
+#      the tile-parallel merge, the device scheduler's look-ahead staging
+#      (every Session run goes through it), and the engine's
 #      submit/cancel/coalesce machinery, and
 #   4. an UndefinedBehaviorSanitizer build running the fault-injection and
 #      chaos suites — UB coverage over beat corruption, CRC repair and the
@@ -65,7 +66,7 @@ cmake -B build-tsan -S . -DFABP_SANITIZE=thread
 cmake --build build-tsan -j"$jobs" \
     --target core_tests util_tests engine_tests shard_tests net_tests \
              resilience_tests tenant_tests
-build-tsan/tests/core_tests --gtest_filter='TileScan*'
+build-tsan/tests/core_tests --gtest_filter='TileScan*:Chaos*:Session*'
 build-tsan/tests/util_tests --gtest_filter='ThreadPool*'
 build-tsan/tests/engine_tests
 # Race coverage over the shard router's per-shard worker queues and the

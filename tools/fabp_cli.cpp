@@ -9,7 +9,7 @@
 //   fabp chaos [bases] [query-aa] [seeds] [rates...]
 //                                              fault-injection sweep vs golden
 //   fabp serve [bases] [query-aa] [requests] [workers]
-//              [--backend hwsim|tiled|planes] [--shards N] [--tcp [port]]
+//              [--backend hwsim|tiled] [--shards N] [--tcp [port]]
 //                                              engine serving demo: burst of
 //                                              concurrent requests, coalesced,
 //                                              checked against sequential;
@@ -66,7 +66,7 @@ int usage() {
       "  fabp chaos [bases] [query-aa] [seeds] [flip-rates...]\n"
       "  fabp isa\n"
       "  fabp serve [bases] [query-aa] [requests] [workers]"
-      " [--backend hwsim|tiled|planes] [--shards N] [--tcp [port]]\n"
+      " [--backend hwsim|tiled] [--shards N] [--tcp [port]]\n"
       "             [--db name=path]... [--tenant name=weight[:quota]]...\n"
       "             [--shed-depth N] [--shed-p99 MS] [--max-inflight N]\n"
       "             [--idle-timeout S] [--io-timeout S] [--drain-timeout S]\n"
@@ -82,26 +82,8 @@ int usage() {
 core::BackendKind backend_kind_from(const std::string& name) {
   if (name == "hwsim") return core::BackendKind::HwSim;
   if (name == "tiled") return core::BackendKind::Tiled;
-  if (name == "planes") return core::BackendKind::Planes;
   throw std::runtime_error{"unknown backend: " + name +
-                           " (expected hwsim, tiled or planes)"};
-}
-
-/// Loads a reference as FASTA (leading '>') or raw ACGT text (whitespace
-/// tolerated) — the formats `--db name=path` and `fabp swap` accept.
-bio::PackedNucleotides load_reference_file(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) throw std::runtime_error{"cannot open reference file: " + path};
-  if (in.peek() == '>') {
-    const auto db = bio::ReferenceDatabase::from_fasta(bio::read_fasta(in));
-    return db.packed();
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string text = buffer.str();
-  std::erase_if(text, [](unsigned char ch) { return std::isspace(ch); });
-  return bio::PackedNucleotides{
-      bio::NucleotideSequence::parse(bio::SeqKind::Dna, text)};
+                           " (expected hwsim or tiled)"};
 }
 
 /// `name=value` splitter for --db and --tenant operands.
@@ -195,8 +177,7 @@ int cmd_scan(const std::string& ref_path, const std::string& query_path,
              double threshold_fraction, std::size_t threads) {
   // Pure-software database scan (no accelerator timing model): one
   // tile-fused pass over the packed database per batch, chunked over the
-  // pool.  FABP_SCAN_MODE=planes switches to the precompiled-plane path
-  // for comparison; hits are identical either way.
+  // pool.
   const auto db =
       bio::ReferenceDatabase::from_fasta(bio::read_fasta_file(ref_path));
   std::cerr << "database: " << db.record_count() << " records, "
@@ -223,18 +204,12 @@ int cmd_scan(const std::string& ref_path, const std::string& query_path,
 
   util::ThreadPool pool{threads};
   util::Timer timer;
-  std::vector<std::vector<core::Hit>> outs;
-  if (core::use_tiled_scan()) {
-    const core::TileScanner scanner{db};
-    std::cerr << "scan path: tiled (" << scanner.tile_positions()
-              << " positions/tile, " << scanner.tile_count() << " tiles, "
-              << pool.size() << " threads)\n";
-    outs = scanner.hits_batch(compiled, thresholds, &pool);
-  } else {
-    std::cerr << "scan path: planes (" << pool.size() << " threads)\n";
-    const core::BitScanReference reference{db.packed()};
-    outs = core::bitscan_hits_batch(compiled, reference, thresholds, &pool);
-  }
+  const core::TileScanner scanner{db};
+  std::cerr << "scan path: tiled (" << scanner.tile_positions()
+            << " positions/tile, " << scanner.tile_count() << " tiles, "
+            << pool.size() << " threads)\n";
+  const std::vector<std::vector<core::Hit>> outs =
+      scanner.hits_batch(compiled, thresholds, &pool);
   const double seconds = timer.seconds();
 
   for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -381,7 +356,9 @@ int cmd_chaos(std::size_t bases, std::size_t query_aa, std::size_t seeds,
 
 // Formatted engine/pipeline/shard stats, shared by the burst demo's stdout
 // dump and the TCP server's StatsResponse.  The "pipeline: invocations="
-// line is load-bearing: the cli_serve_hwsim smoke test greps for it.
+// and "shard N:" prefixes are load-bearing: the cli_serve_hwsim smoke
+// test, check.sh and serve_tcp_smoke.sh grep for them.  Each resident
+// database gets its own pipeline/shard/router lines, tagged db=<name>.
 std::string serve_stats_text(core::Engine& engine) {
   std::ostringstream out;
   const core::EngineStats stats = engine.stats();
@@ -389,33 +366,35 @@ std::string serve_stats_text(core::Engine& engine) {
       << stats.completed << " failed=" << stats.failed << " batches="
       << stats.coalesced_batches << " occupancy=" << stats.batch_occupancy()
       << " largest=" << stats.largest_batch << "\n";
-  const core::DevicePipelineStats pipe = engine.pipeline_stats();
-  if (pipe.invocations > 0)
-    out << "pipeline: invocations=" << pipe.invocations << " tasks="
-        << pipe.tasks << " retried=" << pipe.retried_invocations << " pe="
-        << pipe.pe_count << " depth=" << pipe.buffer_depth << " largest="
-        << pipe.largest_invocation << " occupancy=" << pipe.occupancy()
-        << " overlap=" << pipe.overlap_efficiency() << " pe_util="
-        << pipe.pe_utilization() << " modeled_qps=" << pipe.modeled_qps()
-        << "\n";
-  for (const core::ShardStatus& shard : engine.shard_status())
-    out << "shard " << shard.index << ": owned=[" << shard.owned_begin << ","
-        << shard.owned_end << ") slice=" << shard.slice_elements
-        << " health="
-        << (shard.health == core::HealthState::Degraded ? "degraded"
-                                                        : "healthy")
-        << (shard.routed_to_fallback ? "(fallback)" : "") << " queue="
-        << shard.queue_depth << " peak=" << shard.peak_queue_depth
-        << " batches=" << shard.batches_executed << " fallback-batches="
-        << shard.fallback_batches << " faults=" << shard.fault_events
-        << " retries=" << shard.recovery.retries << " rescans="
-        << shard.recovery.rescanned_tiles << " fallbacks="
-        << shard.recovery.fallbacks << "\n";
-  if (engine.shard_count() > 1)
-    out << "router: shards=" << engine.shard_count()
-        << " scatter+gather=" << util::time_text(
-               engine.shard_overhead_seconds())
-        << "\n";
+  for (const std::string& name : engine.database_names()) {
+    const core::DevicePipelineStats pipe = engine.pipeline_stats(name);
+    if (pipe.invocations > 0)
+      out << "pipeline: invocations=" << pipe.invocations << " tasks="
+          << pipe.tasks << " retried=" << pipe.retried_invocations << " pe="
+          << pipe.pe_count << " depth=" << pipe.buffer_depth << " largest="
+          << pipe.largest_invocation << " occupancy=" << pipe.occupancy()
+          << " overlap=" << pipe.overlap_efficiency() << " pe_util="
+          << pipe.pe_utilization() << " modeled_qps=" << pipe.modeled_qps()
+          << " db=" << name << "\n";
+    for (const core::ShardStatus& shard : engine.shard_status(name))
+      out << "shard " << shard.index << ": owned=[" << shard.owned_begin
+          << "," << shard.owned_end << ") slice=" << shard.slice_elements
+          << " health="
+          << (shard.health == core::HealthState::Degraded ? "degraded"
+                                                          : "healthy")
+          << (shard.routed_to_fallback ? "(fallback)" : "") << " queue="
+          << shard.queue_depth << " peak=" << shard.peak_queue_depth
+          << " batches=" << shard.batches_executed << " fallback-batches="
+          << shard.fallback_batches << " faults=" << shard.fault_events
+          << " retries=" << shard.recovery.retries << " rescans="
+          << shard.recovery.rescanned_tiles << " fallbacks="
+          << shard.recovery.fallbacks << " db=" << name << "\n";
+    if (engine.shard_count() > 1)
+      out << "router: shards=" << engine.shard_count()
+          << " scatter+gather="
+          << util::time_text(engine.shard_overhead_seconds(name))
+          << " db=" << name << "\n";
+  }
   // Multi-tenant view: one line per resident database (with the live
   // per-generation refcounts of the versioned store) and one per tenant.
   // serve_tcp_swap_smoke.sh greps the database lines for generation= and
@@ -475,7 +454,7 @@ int cmd_serve_tcp(core::Engine& engine, net::ServerConfig server_config) {
           req.path.empty()
               ? bio::PackedNucleotides{bio::NucleotideSequence::parse(
                     bio::SeqKind::Dna, req.bases)}
-              : load_reference_file(req.path);
+              : bio::read_reference_file(req.path);
       response.generation =
           engine.upload_database(req.name, std::move(packed));
       std::cerr << "swap: database " << req.name << " -> generation "
@@ -555,7 +534,7 @@ int cmd_serve(std::size_t bases, std::size_t query_aa, std::size_t requests,
   engine.upload_reference(dna);
   for (const auto& [name, path] : dbs) {
     const std::uint64_t generation =
-        engine.upload_database(name, load_reference_file(path));
+        engine.upload_database(name, bio::read_reference_file(path));
     std::cerr << "database " << name << ": " << path << " -> generation "
               << generation << "\n";
   }
