@@ -28,7 +28,6 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fabp/bio/generate.hpp"
@@ -381,8 +380,7 @@ int main(int argc, char** argv) {
   const double compile_s = compile_timer.seconds();
   const core::BitScanQuery compiled_query{elements};
 
-  const std::size_t hw_threads =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t hw_threads = util::available_cpus();
   util::ThreadPool pool{hw_threads};
 
   std::vector<core::Hit> scalar_hits;

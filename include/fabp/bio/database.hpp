@@ -98,6 +98,8 @@ class ReferenceDatabase {
 /// (whitespace tolerated).  FASTA records are concatenated as in
 /// ReferenceDatabase, guards between records included, but the guard after
 /// the last record is dropped: a one-record FASTA serves exactly its bases.
+/// Packs straight from one buffered read (no per-record strings); throws
+/// std::invalid_argument on a letter NucleotideSequence::parse rejects.
 PackedNucleotides read_reference(std::istream& in);
 PackedNucleotides read_reference_file(const std::string& path);
 

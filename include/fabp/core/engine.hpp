@@ -76,7 +76,9 @@ struct EngineConfig {
   /// Worker threads draining the queue.  Backend execution itself is
   /// serialized per database (one modeled card each), so extra workers
   /// only overlap claim / bookkeeping — unless multiple databases are
-  /// resident, which execute genuinely in parallel.
+  /// resident, which execute genuinely in parallel.  The scans themselves
+  /// run on the engine's scan pool (one thread per CPU the process may
+  /// run on), shared by every worker, database and shard.
   std::size_t workers = 2;
   /// Admission queue bound across all tenants; submissions beyond it are
   /// rejected with ErrorCode::QueueFull instead of growing latency
@@ -125,6 +127,10 @@ struct EngineStats {
   std::size_t coalesced_batches = 0; ///< multi-query scans issued
   std::size_t coalesced_requests = 0;///< requests served by those scans
   std::size_t largest_batch = 0;     ///< widest coalesced scan so far
+  std::size_t batches_executed = 0;  ///< batches run, single requests too
+  /// Threads of the engine's scan pool (0 = no pool: every scan runs on
+  /// the worker that claimed it).
+  std::size_t scan_threads = 0;
 
   /// Mean requests per coalesced batch (0 when none formed).
   double batch_occupancy() const noexcept {
@@ -187,6 +193,8 @@ struct EngineCounters {
   std::atomic<std::size_t> coalesced_batches{0};
   std::atomic<std::size_t> coalesced_requests{0};
   std::atomic<std::size_t> largest_batch{0};
+  std::atomic<std::size_t> batches_executed{0};
+  std::atomic<std::size_t> scan_threads{0};
 };
 
 /// One resident generation of a database: the immutable snapshot plus the
@@ -483,6 +491,7 @@ class Engine {
   using StatePtr = std::shared_ptr<detail::RequestState>;
 
   void worker_loop();
+  /// Starts the scan pool and the workers; caller holds queue_mutex_.
   void ensure_workers();
   /// Runs one claimed batch (1..max_coalesce requests, all pinned to the
   /// same generation) on that generation's backend as a single run_many
@@ -512,6 +521,14 @@ class Engine {
   mutable QueryCompiler compiler_;
   std::shared_ptr<detail::EngineCounters> counters_;
   std::chrono::steady_clock::time_point start_time_;
+
+  /// Scan pool of the async path, sized to util::available_cpus() and
+  /// started with the workers (none on a 1-CPU host).  Every worker,
+  /// database and shard submits to it, so scan threads stay bounded by the
+  /// host whatever `workers` and shard_count are; only non-pool threads
+  /// wait on it.  Declared before the databases so it outlives their
+  /// shard workers.
+  std::unique_ptr<util::ThreadPool> scan_pool_;
 
   /// Guards the database map's structure; Database objects themselves are
   /// never destroyed while the engine lives.

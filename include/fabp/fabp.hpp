@@ -26,6 +26,7 @@
 //   perf/  cross-platform performance & energy models    (S6)
 //   net/   TCP front-end: wire protocol, server, loadgen (serving)
 
+#include "fabp/util/benchenv.hpp"
 #include "fabp/util/bitops.hpp"
 #include "fabp/util/crc32.hpp"
 #include "fabp/util/rng.hpp"

@@ -28,6 +28,13 @@ struct BenchEnv {
   std::string governor = "unknown";
 };
 
+/// CPUs this process may run on: the sched_getaffinity mask population,
+/// else std::thread::hardware_concurrency(); never 0.  Sizes the serving
+/// engine's scan pool and the default thread counts of `fabp scan` and
+/// bench_bitscan, so a pinned or containerised process does not
+/// oversubscribe the cores it was given.
+std::size_t available_cpus();
+
 /// Probes the host once per call; cheap enough to call per bench run.
 BenchEnv probe_bench_env();
 

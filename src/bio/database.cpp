@@ -1,6 +1,7 @@
 #include "fabp/bio/database.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstring>
 #include <fstream>
@@ -172,18 +173,66 @@ ReferenceDatabase ReferenceDatabase::load_file(const std::string& path) {
   return load(in);
 }
 
+namespace {
+
+constexpr std::uint8_t kSkipByte = 4;
+constexpr std::uint8_t kBadByte = 5;
+
+/// NucleotideSequence::parse's alphabet as a byte table: the 2-bit code of
+/// every letter nucleotide_from_char accepts, kSkipByte for the whitespace
+/// parse skips, kBadByte for the letters it rejects.
+const std::array<std::uint8_t, 256>& base_codes() {
+  static const std::array<std::uint8_t, 256> codes = [] {
+    std::array<std::uint8_t, 256> out{};
+    for (int c = 0; c < 256; ++c) {
+      const auto base = nucleotide_from_char(static_cast<char>(c));
+      out[c] = base ? code(*base) : std::isspace(c) ? kSkipByte : kBadByte;
+    }
+    return out;
+  }();
+  return codes;
+}
+
+}  // namespace
+
 PackedNucleotides read_reference(std::istream& in) {
-  if (in.peek() == '>') {
-    const ReferenceDatabase db = ReferenceDatabase::from_fasta(read_fasta(in));
-    const PackedNucleotides& packed = db.packed();
-    if (db.record_count() == 0) return packed;
-    return packed.slice(0, packed.size() - ReferenceDatabase::kGuardElements);
-  }
+  // One pass over one buffered read, packing 2-bit codes straight into
+  // words: the layout of ReferenceDatabase::from_fasta(read_fasta(in))
+  // .packed() without its trailing guard (every header but the first opens
+  // a guard of 'A' = code 0 bases), with NucleotideSequence::parse's
+  // letters and errors.
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  std::string text = buffer.str();
-  std::erase_if(text, [](unsigned char ch) { return std::isspace(ch); });
-  return PackedNucleotides{NucleotideSequence::parse(SeqKind::Dna, text)};
+  const std::string text = std::move(buffer).str();
+  const bool fasta = !text.empty() && text.front() == '>';
+  const std::array<std::uint8_t, 256>& codes = base_codes();
+  std::vector<std::uint64_t> words;
+  words.reserve(text.size() / kElementsPerWord + 1);
+  std::size_t size = 0;
+  bool first_record = true;
+  for (std::size_t line = 0; line < text.size();) {
+    const std::size_t eol = std::min(text.find('\n', line), text.size());
+    if (fasta && text[line] == '>') {
+      if (!first_record) {
+        size += ReferenceDatabase::kGuardElements;
+        words.resize((size + kElementsPerWord - 1) / kElementsPerWord);
+      }
+      first_record = false;
+    } else {
+      for (std::size_t i = line; i < eol; ++i) {
+        const std::uint8_t base = codes[static_cast<unsigned char>(text[i])];
+        if (base == kSkipByte) continue;
+        if (base == kBadByte)
+          throw std::invalid_argument{
+              std::string{"invalid nucleotide letter: "} + text[i]};
+        if (size % kElementsPerWord == 0) words.push_back(0);
+        words.back() |= std::uint64_t{base} << (2 * (size % kElementsPerWord));
+        ++size;
+      }
+    }
+    line = eol + 1;
+  }
+  return PackedNucleotides::from_words(std::move(words), size);
 }
 
 PackedNucleotides read_reference_file(const std::string& path) {

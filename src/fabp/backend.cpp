@@ -6,7 +6,6 @@
 #include <limits>
 #include <utility>
 
-#include "fabp/core/hitmerge.hpp"
 #include "fabp/hw/scheduler.hpp"
 #include "fabp/util/bitops.hpp"
 #include "fabp/util/crc32.hpp"
@@ -232,9 +231,9 @@ class HwSimBackend final : public ScanBackend {
   }
 
  private:
-  /// Clean per-task strand hit lists of one packed invocation, built from
-  /// per-PE reference slices and descheduled by chunk-ordered
-  /// concatenation.  Safe to build concurrently with an earlier
+  /// Clean per-task strand hit lists of one packed invocation: the
+  /// precomputed lists of a coalesced batch, else a scan of the strand
+  /// over the request's pool.  Safe to build concurrently with an earlier
   /// invocation's commit: only the const store and compiled queries are
   /// touched, never the injector or any mutable backend state.
   struct PreparedTask {
@@ -308,40 +307,16 @@ class HwSimBackend final : public ScanBackend {
 
 std::vector<Hit> HwSimBackend::prepared_strand(const BackendRequest& request,
                                                bool reverse_strand) const {
-  const CompiledQuery& query = *request.query;
-  const bio::PackedNucleotides& store = store_.strand(reverse_strand);
-  const std::size_t lq = query.encoded.size();
-  const std::size_t valid = store.size() >= lq ? store.size() - lq + 1 : 0;
-  const std::size_t pes =
-      std::max<std::size_t>(1, config_.device_batch.pe_count);
+  // The PEs of an invocation scan contiguous slices of the position range
+  // in ascending order, so the descheduled per-PE hit streams are exactly
+  // the whole-strand scan: the PE split lives only in the timing model
+  // (invocation_strand_timing).  The host scan splits over request.pool
+  // instead, joined in run order the same way.
   const std::vector<Hit>* precomputed =
       reverse_strand ? request.reverse_hits : request.forward_hits;
-
-  // PE p evaluates the alignment windows starting in its contiguous slice
-  // of the position range (the slice's element stream carries the L_q-1
-  // halo; see invocation_strand_timing).  Because the slices partition the
-  // range in ascending order, chunk-ordered concatenation of the per-PE
-  // hit streams — the descheduler — is structurally identical to the
-  // serial scan.
-  std::vector<std::vector<Hit>> chunks(pes);
-  const TileScanner scanner{store, config_.tile};
-  for (std::size_t p = 0; p < pes; ++p) {
-    const std::size_t begin = p * valid / pes;
-    const std::size_t end = (p + 1) * valid / pes;
-    if (begin >= end) continue;
-    if (precomputed) {
-      const auto lo = std::lower_bound(
-          precomputed->begin(), precomputed->end(), begin,
-          [](const Hit& h, std::size_t pos) { return h.position < pos; });
-      const auto hi = std::lower_bound(
-          lo, precomputed->end(), end,
-          [](const Hit& h, std::size_t pos) { return h.position < pos; });
-      chunks[p].assign(lo, hi);
-    } else {
-      scanner.range(query.scan, request.threshold, begin, end, chunks[p]);
-    }
-  }
-  return merge_hit_chunks(chunks);
+  if (precomputed) return *precomputed;
+  return TileScanner{store_.strand(reverse_strand), config_.tile}.hits(
+      request.query->scan, request.threshold, request.pool);
 }
 
 std::vector<HwSimBackend::PreparedTask> HwSimBackend::prepare_invocation(
@@ -728,8 +703,12 @@ void HwSimBackend::commit_invocation(
     // remainder cycles land on the leading tasks so the sum stays exact).
     out.cycles = base_cycles + (i < cycle_rem ? 1 : 0);
     out.kernel_seconds = total_seconds / static_cast<double>(n);
-    out.watts = power.watts(config_.accelerator.device, mappings[i].used,
-                            mappings[i].channels);
+    // The card draws power only for time it spent on the invocation: when
+    // the software fallback served both strands, nothing is charged.
+    out.watts = total_seconds > 0.0
+                    ? power.watts(config_.accelerator.device,
+                                  mappings[i].used, mappings[i].channels)
+                    : 0.0;
     // Invocation-level recovery accounting rides on the first task, so
     // batch-merged stats count each invocation's work exactly once.
     if (i == 0)

@@ -4,7 +4,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "fabp/util/benchenv.hpp"
 #include "fabp/util/stats.hpp"
+#include "fabp/util/thread_pool.hpp"
 
 namespace fabp::core {
 
@@ -251,6 +253,10 @@ void Engine::ensure_workers() {
   // Callers hold queue_mutex_.
   if (workers_started_) return;
   workers_started_ = true;
+  if (const std::size_t cpus = util::available_cpus(); cpus > 1) {
+    scan_pool_ = std::make_unique<util::ThreadPool>(cpus);
+    counters_->scan_threads.store(cpus, std::memory_order_relaxed);
+  }
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -490,8 +496,19 @@ void Engine::execute_batch(std::vector<StatePtr> batch) {
   // invocation and inflate latency for the live ones.
   detail::drop_expired(batch, std::chrono::steady_clock::now());
   if (batch.empty()) return;
+  counters_->batches_executed.fetch_add(1, std::memory_order_relaxed);
 
   ScanBackend& backend = route_backend(db, *gen);
+
+  // The pool splits a scan into contiguous tile runs, one per thread.  A
+  // strand shorter than one tile per thread gains little from the split
+  // and pays per-thread scratch for it, so it scans serially.
+  util::ThreadPool* pool =
+      scan_pool_ != nullptr &&
+              gen->store.forward.size() >=
+                  scan_pool_->size() * config_.host.tile.tile_positions
+          ? scan_pool_.get()
+          : nullptr;
 
   // Coalesced path: one multi-query scan of each strand produces every
   // request's hit list, and the per-request backend runs reduce to
@@ -509,9 +526,9 @@ void Engine::execute_batch(std::vector<StatePtr> batch) {
       thresholds.push_back(state->threshold);
     }
     try {
-      forward = backend.scan_batch(queries, thresholds, false, nullptr);
+      forward = backend.scan_batch(queries, thresholds, false, pool);
       if (config_.host.search_both_strands)
-        reverse = backend.scan_batch(queries, thresholds, true, nullptr);
+        reverse = backend.scan_batch(queries, thresholds, true, pool);
       precomputed = true;
       counters_->coalesced_batches.fetch_add(1, std::memory_order_relaxed);
       counters_->coalesced_requests.fetch_add(batch.size(),
@@ -541,6 +558,7 @@ void Engine::execute_batch(std::vector<StatePtr> batch) {
     request.reverse_hits = precomputed && config_.host.search_both_strands
                                ? &reverse[i]
                                : nullptr;
+    request.pool = pool;
     requests.push_back(request);
   }
 
@@ -699,6 +717,9 @@ EngineStats Engine::stats() const noexcept {
   out.coalesced_requests =
       counters_->coalesced_requests.load(std::memory_order_relaxed);
   out.largest_batch = counters_->largest_batch.load(std::memory_order_relaxed);
+  out.batches_executed =
+      counters_->batches_executed.load(std::memory_order_relaxed);
+  out.scan_threads = counters_->scan_threads.load(std::memory_order_relaxed);
   return out;
 }
 

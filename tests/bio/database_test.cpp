@@ -49,6 +49,54 @@ TEST(ReferenceDatabase, ReadReferenceKeepsInnerGuardsOnly) {
   EXPECT_EQ(read_reference(raw).size(), 4u);
 }
 
+// The packing loader against the record-building path it replaces: the
+// concatenated store of ReferenceDatabase minus its trailing guard for
+// FASTA, NucleotideSequence::parse for raw text, and the same exception
+// type wherever either rejects a letter.
+PackedNucleotides database_reference(const std::string& text) {
+  std::istringstream in{text};
+  const ReferenceDatabase db = ReferenceDatabase::from_fasta(read_fasta(in));
+  return db.packed().slice(
+      0, db.packed().size() - ReferenceDatabase::kGuardElements);
+}
+
+TEST(ReferenceDatabase, ReadReferenceMatchesDatabasePacking) {
+  util::Xoshiro256 rng{705};
+  const std::string long_record = random_dna(5'000, rng).to_string();
+  const std::vector<std::string> inputs{
+      ">a\nACGT\n>b desc\nGGCC\n",
+      ">multi\n" + long_record.substr(0, 70) + "\n" +
+          long_record.substr(70) + "\n>second\n" + long_record + "\n",
+      ">crlf\r\nACGT\r\nTTGA\r\n>b\r\nCC\r\n",
+      ">blank\n\nAC GT\n\n\n>empty\n>last\nacgu\tT\n",
+      ">no-newline\nACG",
+  };
+  for (const std::string& text : inputs) {
+    std::istringstream in{text};
+    EXPECT_EQ(read_reference(in), database_reference(text)) << text;
+  }
+
+  for (const std::string raw : {"ACG\nT \n", "acgu\r\nTT", "", " \n"}) {
+    std::istringstream in{raw};
+    EXPECT_EQ(read_reference(in),
+              PackedNucleotides{NucleotideSequence::parse(SeqKind::Dna, raw)})
+        << raw;
+  }
+
+  for (const std::string bad :
+       {">a\nACGN\n", ">a\nACGT\n>b\nAC-GT\n", " >a\nACGT\n", "ACGX"}) {
+    std::istringstream in{bad};
+    EXPECT_THROW(read_reference(in), std::invalid_argument) << bad;
+    if (bad.front() == '>') {
+      EXPECT_THROW(database_reference(bad), std::invalid_argument) << bad;
+    } else {
+      EXPECT_THROW(NucleotideSequence::parse(SeqKind::Dna, bad),
+                   std::invalid_argument)
+          << bad;
+    }
+  }
+}
+
 TEST(ReferenceDatabase, LocateMapsGlobalToRecord) {
   util::Xoshiro256 rng{703};
   ReferenceDatabase db;

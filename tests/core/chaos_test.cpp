@@ -224,6 +224,29 @@ TEST(ChaosRecovery, DegradesToSoftwareAndServesGolden) {
   EXPECT_EQ(degraded.kernel_s, 0.0);
 }
 
+TEST(ChaosRecovery, SoftwareFallbackChargesNoCardPower) {
+  const Workload w = make_workload(10'000);
+  Session clean;
+  clean.upload_reference(w.reference);
+  EXPECT_GT(clean.align(w.query, w.threshold).watts, 0.0);
+
+  // Every attempt of both strands fails, so the software fallback serves
+  // the run and the card never computes: no card time, no card power.
+  HostConfig config;
+  config.search_both_strands = true;
+  config.fault.transfer_fail_rate = 1.0;
+  config.recovery.max_attempts = 2;
+  Session session{config};
+  session.upload_reference(w.reference);
+  for (int i = 0; i < 3; ++i) {  // fallback runs, then the degraded ones
+    const HostRunReport report = session.align(w.query, w.threshold);
+    EXPECT_EQ(report.recovery.fallbacks, 2u);
+    EXPECT_EQ(report.kernel_s, 0.0);
+    EXPECT_EQ(report.watts, 0.0);
+    EXPECT_EQ(report.joules, 0.0);
+  }
+}
+
 TEST(ChaosRecovery, DegradedWithoutFallbackIsDeviceLost) {
   const Workload w = make_workload(10'000);
   HostConfig config;

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
 
 #include "fabp/bio/generate.hpp"
+#include "fabp/core/golden.hpp"
+#include "fabp/util/benchenv.hpp"
 
 namespace fabp::core {
 namespace {
@@ -370,6 +373,114 @@ TEST(Engine, CoalescingEngagesUnderBurstLoad) {
   EXPECT_GT(stats.coalesced_batches, 0u);
   EXPECT_GT(stats.batch_occupancy(), 1.0);
   EXPECT_LE(stats.largest_batch, config.max_coalesce);
+}
+
+
+// --- the engine's scan pool --------------------------------------------
+//
+// Served scans split over one engine-owned pool once the strand holds a
+// whole tile per pool thread.  A small tile makes a test-sized reference
+// split; the hits must not move, whether a request runs alone (the pool
+// reaches the backend's own scan) or coalesced (the pool reaches the
+// batch precompute), on either backend and through the shard router.
+
+constexpr std::size_t kPoolTile = 4096;
+
+struct PoolCase {
+  const char* name;
+  BackendKind backend;
+  std::size_t shards;
+  bool flips;
+};
+
+EngineConfig pool_config(const PoolCase& c) {
+  EngineConfig config;
+  config.backend = c.backend;
+  config.shard.shard_count = c.shards;
+  config.workers = 1;
+  config.autostart = false;  // the first claim takes the whole burst
+  config.host.tile.tile_positions = kPoolTile;
+  config.host.search_both_strands = true;
+  config.host.device_batch.pe_count = 2;
+  if (c.flips) {
+    config.host.fault.flip_rate = 3e-4;
+    config.host.fault.seed = 0x9001;
+  }
+  return config;
+}
+
+void expect_served_hits_are_golden(std::size_t bases, std::uint64_t seed) {
+  util::Xoshiro256 rng{seed};
+  const NucleotideSequence ref = bio::random_dna(bases, rng);
+  const NucleotideSequence rc = ref.reverse_complement();
+  const std::vector<ProteinSequence> queries = make_queries(6, rng);
+  std::vector<std::vector<Hit>> golden_fwd, golden_rev;
+  for (const ProteinSequence& query : queries) {
+    const CompiledQueryPtr compiled = compile_query(query);
+    golden_fwd.push_back(
+        golden_hits(compiled->elements, ref, half_threshold(query)));
+    std::vector<Hit> rev;
+    for (const Hit& hit :
+         golden_hits(compiled->elements, rc, half_threshold(query)))
+      rev.push_back(Hit{bases - hit.position - compiled->size(), hit.score});
+    std::sort(rev.begin(), rev.end());
+    golden_rev.push_back(std::move(rev));
+  }
+
+  const std::size_t cpus = util::available_cpus();
+  for (const PoolCase& c : {PoolCase{"tiled", BackendKind::Tiled, 1, false},
+                            PoolCase{"hwsim", BackendKind::HwSim, 1, true},
+                            PoolCase{"hwsim-2-shards", BackendKind::HwSim, 2,
+                                     false}}) {
+    const EngineConfig config = pool_config(c);
+    Engine sync{config};
+    sync.upload_reference(NucleotideSequence{ref});
+    Engine engine{config};
+    engine.upload_reference(NucleotideSequence{ref});
+
+    // One coalesced batch, then every query again as a lone request.
+    std::vector<Ticket> burst;
+    for (const ProteinSequence& query : queries)
+      burst.push_back(engine.submit(query, half_threshold(query)));
+    engine.start();
+    for (std::size_t round = 0; round < 2; ++round) {
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        const Expected<HostRunReport> served =
+            round == 0
+                ? burst[i].wait()
+                : engine.submit(queries[i], half_threshold(queries[i])).wait();
+        const Expected<HostRunReport> alone =
+            sync.align_sync(queries[i], half_threshold(queries[i]));
+        ASSERT_TRUE(served.has_value()) << c.name << " query " << i;
+        ASSERT_TRUE(alone.has_value()) << c.name << " query " << i;
+        EXPECT_EQ(served->hits, golden_fwd[i])
+            << c.name << " round " << round << " query " << i;
+        EXPECT_EQ(served->reverse_hits, golden_rev[i])
+            << c.name << " round " << round << " query " << i;
+        EXPECT_EQ(alone->hits, served->hits) << c.name << " query " << i;
+        EXPECT_EQ(alone->reverse_hits, served->reverse_hits)
+            << c.name << " query " << i;
+      }
+    }
+
+    const EngineStats stats = engine.stats();
+    EXPECT_EQ(stats.coalesced_batches, 1u) << c.name;
+    EXPECT_EQ(stats.largest_batch, queries.size()) << c.name;
+    EXPECT_EQ(stats.batches_executed, 1 + queries.size()) << c.name;
+    EXPECT_EQ(stats.scan_threads, cpus > 1 ? cpus : 0) << c.name;
+  }
+}
+
+TEST(Engine, PooledScansServeGoldenHits) {
+  // Three whole tiles per pool thread: every served scan splits.
+  expect_served_hits_are_golden(
+      kPoolTile * std::max<std::size_t>(2, util::available_cpus()) * 3, 941);
+}
+
+TEST(Engine, ScansBelowTheSplitFloorServeGoldenHits) {
+  // Half a tile per pool thread: every served scan stays serial.
+  expect_served_hits_are_golden(
+      kPoolTile * std::max<std::size_t>(2, util::available_cpus()) / 2, 943);
 }
 
 }  // namespace

@@ -428,7 +428,9 @@ TEST(ShardChaos, DegradedShardFallsBackToSoftware) {
         actual->hits.begin(), actual->hits.end(),
         [&](const Hit& hit) { return hit.position == planted_position; }))
         << "round " << round;
-    if (round > 0) EXPECT_GT(actual->recovery.fallbacks, 0u);
+    if (round > 0) {
+      EXPECT_GT(actual->recovery.fallbacks, 0u);
+    }
   }
 
   const std::vector<ShardStatus> status = engine.shard_status();

@@ -365,7 +365,9 @@ std::string serve_stats_text(core::Engine& engine) {
   out << "engine: submitted=" << stats.submitted << " completed="
       << stats.completed << " failed=" << stats.failed << " batches="
       << stats.coalesced_batches << " occupancy=" << stats.batch_occupancy()
-      << " largest=" << stats.largest_batch << "\n";
+      << " largest=" << stats.largest_batch << " executed="
+      << stats.batches_executed << " scan_threads=" << stats.scan_threads
+      << "\n";
   for (const std::string& name : engine.database_names()) {
     const core::DevicePipelineStats pipe = engine.pipeline_stats(name);
     if (pipe.invocations > 0)
@@ -681,7 +683,7 @@ int main(int argc, char** argv) {
       return cmd_scan(argv[2], argv[3],
                       argc >= 5 ? std::strtod(argv[4], nullptr) : 0.85,
                       argc == 6 ? std::strtoull(argv[5], nullptr, 10)
-                                : std::thread::hardware_concurrency());
+                                : util::available_cpus());
     if (command == "tblastn" && argc == 4)
       return cmd_tblastn(argv[2], argv[3]);
     if (command == "map" && (argc == 3 || argc == 4))

@@ -3,8 +3,8 @@
 # kernel-assigned port (sharded, hw-sim backend, plus a one-record FASTA
 # served with --db), fire one loadgen burst at each database over
 # localhost, SIGTERM the server, and require a clean graceful drain (the
-# "drained" marker plus per-database pipeline and per-shard stats in the
-# final dump).
+# "drained" marker, the engine line's batch and scan-pool counts, and
+# per-database pipeline and per-shard stats in the final dump).
 # Usage: serve_tcp_smoke.sh <path-to-fabp-binary>
 set -euo pipefail
 
@@ -37,6 +37,8 @@ wait "$pid"
 
 grep -q '^drained$' "$out" || { echo "no clean drain marker"; cat "$out"; exit 1; }
 grep -q 'requests=24' "$out" || { echo "server miscounted requests"; cat "$out"; exit 1; }
+grep -q '^engine: .* executed=[0-9]* scan_threads=[0-9]*$' "$out" \
+  || { echo "no executed/scan_threads on the engine line"; cat "$out"; exit 1; }
 grep -q '^shard 1:.* db=default$' "$out" || { echo "no per-shard stats in dump"; cat "$out"; exit 1; }
 grep -q '^shard 1:.* db=extra$' "$out" || { echo "no per-shard stats for --db"; cat "$out"; exit 1; }
 grep -q '^pipeline: invocations=.* db=extra$' "$out" \
