@@ -34,6 +34,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -114,6 +115,14 @@ struct RequestOptions {
   std::string database;
   /// Tenant the request is billed to; empty = the default tenant.
   std::string tenant;
+  /// Completion hook, called exactly once per request after its outcome
+  /// is set (Ticket::ready() is already true), on whichever thread
+  /// settles it: a worker, a cancelling caller, the engine destructor, or
+  /// the submitting caller itself for a refusal at submit.  It may run
+  /// under engine locks, so it must be short, must not throw and must not
+  /// call back into the engine.  The TCP server uses it to wake the
+  /// connection that waits on the ticket.
+  std::function<void()> on_settle;
 };
 
 /// Monotonic counters over an engine's lifetime (snapshot via stats()).
@@ -283,6 +292,7 @@ struct RequestState {
   bool has_deadline = false;
   std::atomic<int> phase{static_cast<int>(RequestPhase::Pending)};
   std::promise<Expected<HostRunReport>> promise;
+  std::function<void()> on_settle;           // RequestOptions::on_settle
   std::shared_ptr<EngineCounters> counters;  // outlives the engine
 
   /// The generation this request was admitted under.  The shared_ptr IS
@@ -298,6 +308,12 @@ struct RequestState {
     int expected = static_cast<int>(RequestPhase::Pending);
     return phase.compare_exchange_strong(expected, static_cast<int>(to));
   }
+
+  /// The one settle path of every outcome, taken by the promise's owner:
+  /// bumps `counter` first (a waiter that unblocks always observes its own
+  /// request in stats()), fulfils the promise, then fires on_settle.
+  void settle(std::atomic<std::size_t>& counter,
+              Expected<HostRunReport> outcome);
 };
 
 /// Fails every already-claimed batch entry whose deadline is at or past

@@ -20,7 +20,10 @@
 //    requests (responses stay in request order); connection I/O runs
 //    nonblocking under poll() so an idle peer (idle_timeout_s) or a
 //    stalled one mid-frame / mid-response (io_timeout_s — slow-loris
-//    hardening) is reaped instead of pinning the thread forever.
+//    hardening) is reaped instead of pinning the thread forever.  The
+//    poll also watches a per-connection eventfd that each ticket's
+//    completion hook writes, so a reply leaves the moment its ticket
+//    settles; it is encoded, framed and CRC'd in one buffer.
 //  - shutdown() drains gracefully but boundedly: after drain_timeout_s
 //    still-queued requests are force-cancelled through the Ticket
 //    cancel path and the sockets are torn down.
@@ -48,10 +51,12 @@
 #include "fabp/core/engine.hpp"
 #include "fabp/net/fault.hpp"
 #include "fabp/net/wire.hpp"
+#include "fabp/util/stats.hpp"
 
 namespace fabp::net {
 
-/// RAII POSIX socket fd.  Move-only; close on destruction.
+/// RAII POSIX socket fd (the server also keeps its per-connection
+/// eventfds in one).  Move-only; close on destruction.
 class Socket {
  public:
   Socket() = default;
@@ -143,7 +148,9 @@ struct ServerMetrics {
   std::size_t shed = 0;            ///< refused with Overloaded pre-enqueue
   std::size_t io_timeouts = 0;     ///< connections reaped as idle/stalled
   std::size_t force_cancelled = 0; ///< requests cancelled at drain deadline
-  double p50_ms = 0.0;             ///< server-side align latency
+  /// Server-side align latency over the server's life: percentiles
+  /// within 1 % (log-bucket histogram), max exact.
+  double p50_ms = 0.0;
   double p99_ms = 0.0;
   double max_ms = 0.0;
 };
@@ -184,20 +191,24 @@ class WireServer {
 
  private:
   /// One pipelined slot: either a live engine ticket or an
-  /// already-encoded reply (shed refusals, malformed-frame answers,
+  /// already-framed reply (shed refusals, malformed-frame answers,
   /// stats) held so responses leave in request order.
   struct PendingReply {
     std::uint64_t id = 0;
     std::chrono::steady_clock::time_point t0{};
     bool has_ticket = false;
     core::Ticket ticket;
-    std::string ready_payload;  ///< encoded, when !has_ticket
+    std::string ready_frame;  ///< wire frame, when !has_ticket
   };
 
   /// Shared between a connection handler and shutdown(): the handler
   /// owns the queue; the drain-deadline pass walks it to cancel tickets.
   struct ConnState {
     int fd = -1;
+    /// eventfd the tickets' completion hooks write to wake the handler's
+    /// poll.  Set before the handler starts; each hook shares ownership,
+    /// so the fd stays open until the last late settle.
+    std::shared_ptr<Socket> wake;
     std::mutex m;
     std::deque<PendingReply> pending;
   };
@@ -208,7 +219,7 @@ class WireServer {
   /// ticket) to state->pending.  Returns false when the connection must
   /// close (alien/oversized frame).
   bool process_frame(std::string_view payload, ConnState& state);
-  /// Consume a finished ticket into an encoded AlignResponse payload.
+  /// Consume a finished ticket into a framed AlignResponse.
   std::string finish_align(PendingReply& slot);
   void record_latency(double seconds);
   double recent_percentile_ms(double pct) const;  // callers hold mutex_
@@ -227,7 +238,8 @@ class WireServer {
   std::size_t active_handlers_ = 0;
   std::vector<std::thread> connections_;
   std::vector<std::shared_ptr<ConnState>> conns_;  ///< live, for drain
-  std::vector<double> latencies_s_;
+  /// Server-side align latency over the server's life, fixed memory.
+  util::LogHistogram latency_ms_;
   /// Sliding window feeding the p99 shed trigger and retry-after hints.
   std::array<double, 64> recent_ms_{};
   std::size_t recent_count_ = 0;

@@ -129,6 +129,15 @@ std::string encode(const SwapDatabaseResponse& message);
 /// (payload + 4), the payload, then the payload's CRC32 (LE).
 std::string frame(std::string_view payload);
 
+/// frame(encode(message)), byte for byte, built in one buffer: the
+/// length prefix, the payload encoded in place, then one CRC32 pass over
+/// it.  A message whose *payload* would exceed `max_payload` is first
+/// rewritten in place into the typed BadArgument refusal "hit list
+/// exceeds the response frame limit" (hit lists dropped; id, hints and
+/// generation kept), since no client may accept the larger frame.
+std::string encode_framed(AlignResponse& message,
+                          std::uint32_t max_payload = kMaxFrameBytes);
+
 /// Splits a received frame body (payload + CRC trailer) and verifies the
 /// checksum.  On success `payload` views into `body`; on a short body or
 /// CRC mismatch returns false — the caller surfaces a typed

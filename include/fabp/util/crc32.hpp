@@ -4,9 +4,9 @@
 // the packed reference once at upload, the (modeled) card reports the CRC
 // of what it actually streamed, and a mismatch localises corruption to one
 // tile instead of poisoning a whole scan.  Also used over readback hit
-// buffers.  Table-driven, one byte per step; fast enough that a full pass
-// over a reference is a small fraction of one scan (and it only runs on
-// fault paths or once per upload).
+// buffers, and over every wire frame (net/wire).  Slicing-by-8: eight
+// table lookups per eight input bytes, bit-identical to the classic
+// one-byte-per-step table walk.
 
 #include <cstddef>
 #include <cstdint>

@@ -2,7 +2,9 @@
 // Streaming and batch statistics used by the mutation-frequency experiment
 // (E5) and the benchmark harnesses.
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -30,6 +32,33 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
+};
+
+/// Fixed-memory histogram of positive values (latencies): log-spaced
+/// buckets, each 2 % wider than the one before, from 1e-3 to about 2e7
+/// (the server records milliseconds: 1 us to ~6 h), plus the exact
+/// extremes.  A percentile reads as the geometric midpoint of the bucket
+/// holding that rank, so it lies within 1 % of the recorded sample of that
+/// rank (values below 1e-3 share the first bucket).  Not thread-safe.
+class LogHistogram {
+ public:
+  void record(double value) noexcept;
+
+  std::size_t count() const noexcept { return count_; }
+  double max() const noexcept { return max_; }
+  /// Nearest-rank p-th percentile (0..100), clamped to the recorded
+  /// extremes; 0 when empty.
+  double percentile(double p) const noexcept;
+
+ private:
+  static constexpr double kFloor = 1e-3;
+  static constexpr double kGrowth = 1.02;
+  static constexpr std::size_t kBuckets = 1200;
+
+  std::array<std::uint64_t, kBuckets> counts_{};
+  std::size_t count_ = 0;
+  double min_ = 0.0;
+  double max_ = 0.0;
 };
 
 /// Median of a sample (copies; does not reorder the input).

@@ -19,15 +19,19 @@ using detail::TenantQueue;
 bool Ticket::cancel() {
   if (!state_) return false;
   if (!state_->claim(RequestPhase::Cancelled)) return false;
-  // Counters are bumped before the promise is fulfilled, so a waiter that
-  // unblocks always observes its own request in stats().
-  state_->counters->cancelled.fetch_add(1, std::memory_order_relaxed);
-  state_->promise.set_value(
-      Error{ErrorCode::Cancelled, "request cancelled while queued"});
+  state_->settle(state_->counters->cancelled,
+                 Error{ErrorCode::Cancelled, "request cancelled while queued"});
   return true;
 }
 
 namespace detail {
+
+void RequestState::settle(std::atomic<std::size_t>& counter,
+                          Expected<HostRunReport> outcome) {
+  counter.fetch_add(1, std::memory_order_relaxed);
+  promise.set_value(std::move(outcome));
+  if (on_settle) on_settle();
+}
 
 void drop_expired(std::vector<std::shared_ptr<RequestState>>& batch,
                   std::chrono::steady_clock::time_point now) {
@@ -35,10 +39,9 @@ void drop_expired(std::vector<std::shared_ptr<RequestState>>& batch,
   for (std::size_t i = 0; i < batch.size(); ++i) {
     RequestState& state = *batch[i];
     if (state.has_deadline && now >= state.deadline) {
-      state.counters->expired.fetch_add(1, std::memory_order_relaxed);
-      state.promise.set_value(
-          Error{ErrorCode::DeadlineExceeded,
-                "request deadline passed before device dispatch"});
+      state.settle(state.counters->expired,
+                   Error{ErrorCode::DeadlineExceeded,
+                         "request deadline passed before device dispatch"});
       state.generation.reset();  // settled: release the epoch pin
       continue;
     }
@@ -134,12 +137,10 @@ Engine::~Engine() {
   // every Ticket::wait() unblocks.
   for (auto& [name, tenant] : tenants_) {
     for (const StatePtr& state : tenant->waiting) {
-      if (state->claim(RequestPhase::Cancelled)) {
-        counters_->failed.fetch_add(1, std::memory_order_relaxed);
-        state->promise.set_value(
-            Error{ErrorCode::ShuttingDown,
-                  "engine destroyed before the request ran"});
-      }
+      if (state->claim(RequestPhase::Cancelled))
+        state->settle(counters_->failed,
+                      Error{ErrorCode::ShuttingDown,
+                            "engine destroyed before the request ran"});
       state->generation.reset();  // workers joined; no scheduler reads
     }
     tenant->waiting.clear();
@@ -290,15 +291,15 @@ Ticket Engine::submit(const bio::ProteinSequence& query,
   auto state = std::make_shared<RequestState>();
   state->threshold = threshold;
   state->counters = counters_;
+  state->on_settle = std::move(options.on_settle);
   Ticket ticket{state};
 
   const auto fail = [&](ErrorCode code, std::string message,
                         bool as_rejected) {
     state->phase.store(static_cast<int>(RequestPhase::Claimed));
-    state->promise.set_value(Error{code, std::move(message)});
+    state->settle(as_rejected ? counters_->rejected : counters_->failed,
+                  Error{code, std::move(message)});
     state->generation.reset();  // settled: release the epoch pin
-    auto& counter = as_rejected ? counters_->rejected : counters_->failed;
-    counter.fetch_add(1, std::memory_order_relaxed);
   };
 
   const std::string& db_name =
@@ -408,10 +409,9 @@ void Engine::worker_loop() {
           continue;
         }
         if (state->has_deadline && now >= state->deadline) {
-          counters_->expired.fetch_add(1, std::memory_order_relaxed);
-          state->promise.set_value(
-              Error{ErrorCode::DeadlineExceeded,
-                    "request deadline passed while queued"});
+          state->settle(counters_->expired,
+                        Error{ErrorCode::DeadlineExceeded,
+                              "request deadline passed while queued"});
           state->generation.reset();  // settled: release the epoch pin
           continue;
         }
@@ -466,8 +466,6 @@ void Engine::execute_batch(std::vector<StatePtr> batch) {
   const auto fulfil = [&](RequestState& state,
                           Expected<HostRunReport> outcome) {
     const bool ok = outcome.has_value();
-    auto& counter = ok ? counters_->completed : counters_->failed;
-    counter.fetch_add(1, std::memory_order_relaxed);
     (ok ? db.completed : db.failed).fetch_add(1, std::memory_order_relaxed);
     if (state.tenant != nullptr) {
       (ok ? state.tenant->completed : state.tenant->failed)
@@ -479,7 +477,8 @@ void Engine::execute_batch(std::vector<StatePtr> batch) {
       state.tenant->latency.record(latency_ms);
       db.latency.record(latency_ms);
     }
-    state.promise.set_value(std::move(outcome));
+    state.settle(ok ? counters_->completed : counters_->failed,
+                 std::move(outcome));
     // Settle = unpin.  The batch-local `gen` keeps the snapshot alive for
     // the remainder of this run; releasing the request's own pin here
     // makes a retired generation reclaimable once its last ticket

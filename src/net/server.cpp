@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -149,8 +150,11 @@ void WireServer::serve() {
       std::lock_guard lock{mutex_};
       if (stopping_) break;  // shutdown() interrupted the accept
       if (!conn.valid()) continue;
-      ++accepted_;
       auto state = std::make_shared<ConnState>();
+      state->wake = std::make_shared<Socket>(
+          ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
+      if (!state->wake->valid()) continue;  // no wake-up channel: refuse
+      ++accepted_;
       state->fd = conn.fd();
       conns_.push_back(state);
       ++active_handlers_;
@@ -223,18 +227,15 @@ ServerMetrics WireServer::metrics() const {
   m.shed = shed_;
   m.io_timeouts = io_timeouts_;
   m.force_cancelled = force_cancelled_;
-  if (!latencies_s_.empty()) {
-    m.p50_ms = 1e3 * util::percentile(latencies_s_, 50.0);
-    m.p99_ms = 1e3 * util::percentile(latencies_s_, 99.0);
-    m.max_ms =
-        1e3 * *std::max_element(latencies_s_.begin(), latencies_s_.end());
-  }
+  m.p50_ms = latency_ms_.percentile(50.0);
+  m.p99_ms = latency_ms_.percentile(99.0);
+  m.max_ms = latency_ms_.max();
   return m;
 }
 
 void WireServer::record_latency(double seconds) {
   std::lock_guard lock{mutex_};
-  latencies_s_.push_back(seconds);
+  latency_ms_.record(1e3 * seconds);
   recent_ms_[recent_next_] = 1e3 * seconds;
   recent_next_ = (recent_next_ + 1) % recent_ms_.size();
   recent_count_ = std::min(recent_count_ + 1, recent_ms_.size());
@@ -277,23 +278,14 @@ std::string WireServer::finish_align(PendingReply& slot) {
   const double seconds = seconds_between(slot.t0, Clock::now());
   response.server_seconds = seconds;
   record_latency(seconds);
-  std::string encoded = encode(response);
-  if (encoded.size() > kMaxFrameBytes) {
-    // The wire contract forbids emitting this; answer with the typed
-    // error instead of a frame the client must reject.
-    response.hits.clear();
-    response.reverse_hits.clear();
-    response.status =
-        static_cast<std::uint8_t>(core::ErrorCode::BadArgument);
-    response.error = "hit list exceeds the response frame limit";
-    encoded = encode(response);
-  }
+  // An over-limit hit list comes back rewritten into its typed refusal.
+  std::string framed = encode_framed(response);
   {
     std::lock_guard lock{mutex_};
     ++requests_;
     if (response.status != 0) ++errors_;
   }
-  return encoded;
+  return framed;
 }
 
 bool WireServer::process_frame(std::string_view payload, ConnState& state) {
@@ -315,7 +307,7 @@ bool WireServer::process_frame(std::string_view payload, ConnState& state) {
         response.status =
             static_cast<std::uint8_t>(core::ErrorCode::BadArgument);
         response.error = "malformed align request";
-        slot.ready_payload = encode(response);
+        slot.ready_frame = frame(encode(response));
         std::lock_guard state_lock{state.m};
         state.pending.push_back(std::move(slot));
         return true;
@@ -346,7 +338,7 @@ bool WireServer::process_frame(std::string_view payload, ConnState& state) {
           ++requests_;
           ++errors_;
         }
-        slot.ready_payload = encode(response);
+        slot.ready_frame = frame(encode(response));
         std::lock_guard state_lock{state.m};
         state.pending.push_back(std::move(slot));
         return true;
@@ -364,6 +356,14 @@ bool WireServer::process_frame(std::string_view payload, ConnState& state) {
         // through the ticket, like any other admission refusal.
         options.database = request.database;
         options.tenant = request.tenant;
+        // The settle wakes this connection's poll.  The hook shares the
+        // eventfd, so a settle after the connection closed still writes
+        // to that (open) eventfd, never to a reused fd number.
+        options.on_settle = [wake = state.wake] {
+          const std::uint64_t one = 1;
+          [[maybe_unused]] const ssize_t n =
+              ::write(wake->fd(), &one, sizeof one);
+        };
         // Route through submit() so concurrent connections coalesce
         // into shared scans like in-process engine callers.
         slot.ticket = engine_.submit(protein, request.threshold, options);
@@ -379,7 +379,7 @@ bool WireServer::process_frame(std::string_view payload, ConnState& state) {
           ++requests_;
           ++errors_;
         }
-        slot.ready_payload = encode(response);
+        slot.ready_frame = frame(encode(response));
       }
       std::lock_guard state_lock{state.m};
       state.pending.push_back(std::move(slot));
@@ -389,7 +389,7 @@ bool WireServer::process_frame(std::string_view payload, ConnState& state) {
       PendingReply slot;
       StatsResponse stats;
       stats.text = stats_text_ ? stats_text_() : std::string{};
-      slot.ready_payload = encode(stats);
+      slot.ready_frame = frame(encode(stats));
       std::lock_guard state_lock{state.m};
       state.pending.push_back(std::move(slot));
       return true;
@@ -417,7 +417,7 @@ bool WireServer::process_frame(std::string_view payload, ConnState& state) {
         std::lock_guard lock{mutex_};
         ++swaps_;
       }
-      slot.ready_payload = encode(response);
+      slot.ready_frame = frame(encode(response));
       std::lock_guard state_lock{state.m};
       state.pending.push_back(std::move(slot));
       return true;
@@ -452,12 +452,15 @@ void WireServer::handle_connection(Socket conn,
   auto last_rx = Clock::now();
   auto last_tx = last_rx;
 
-  // Appends one payload to outbuf as a wire frame, routed through the
-  // per-connection fault plan when chaos is on.
-  const auto emit = [&](std::string_view payload) {
-    std::string framed = frame(payload);
+  // Queues one framed reply on outbuf, routed through the per-connection
+  // fault plan when chaos is on.  A frame landing on an empty outbuf is
+  // moved in, not copied.
+  const auto emit = [&](std::string framed) {
     if (!faulty) {
-      outbuf += framed;
+      if (outbuf.empty())
+        outbuf = std::move(framed);
+      else
+        outbuf += framed;
       return;
     }
     const FramePlan plan = injector.plan_frame(framed.size());
@@ -483,23 +486,10 @@ void WireServer::handle_connection(Socket conn,
     if (plan.duplicate) outbuf += framed;
   };
 
+  // Replies owed (pending.size()); only this thread adds or removes them.
+  std::size_t inflight = 0;
   while (!dead) {
-    // 1) Promote finished work into outbuf, strictly in request order
-    //    (pipelined peers rely on FIFO responses).
-    std::size_t inflight = 0;
-    {
-      std::lock_guard state_lock{state->m};
-      while (!state->pending.empty() && !close_after_flush && !dead) {
-        PendingReply& front = state->pending.front();
-        if (front.has_ticket && !front.ticket.ready()) break;
-        PendingReply slot = std::move(front);
-        state->pending.pop_front();
-        emit(slot.has_ticket ? finish_align(slot) : slot.ready_payload);
-      }
-      inflight = state->pending.size();
-    }
-
-    // 2) Parse buffered frames while under the pipeline cap.
+    // 1) Parse buffered frames while under the pipeline cap.
     while (!dead && !close_after_flush && inflight < cap &&
            inbuf.size() >= 4) {
       const std::uint32_t length = decode_length(inbuf.data());
@@ -531,7 +521,7 @@ void WireServer::handle_connection(Socket conn,
             static_cast<std::uint8_t>(core::ErrorCode::IntegrityFailure);
         response.error = "frame payload failed its CRC32 check";
         PendingReply slot;
-        slot.ready_payload = encode(response);
+        slot.ready_frame = frame(encode(response));
         {
           std::lock_guard state_lock{state->m};
           state->pending.push_back(std::move(slot));
@@ -545,47 +535,67 @@ void WireServer::handle_connection(Socket conn,
     }
     if (dead) break;
 
+    // 2) Promote finished work into outbuf, strictly in request order
+    //    (pipelined peers rely on FIFO responses).  Running it after the
+    //    parse sends the replies that step queued ready (stats, refusals,
+    //    integrity errors) now, not after the next poll.
+    {
+      std::lock_guard state_lock{state->m};
+      while (!state->pending.empty() && !close_after_flush && !dead) {
+        PendingReply& front = state->pending.front();
+        if (front.has_ticket && !front.ticket.ready()) break;
+        PendingReply slot = std::move(front);
+        state->pending.pop_front();
+        emit(slot.has_ticket ? finish_align(slot)
+                             : std::move(slot.ready_frame));
+      }
+      inflight = state->pending.size();
+    }
+    if (dead) break;
+
     // 3) Exit checks: drained and flushed means a clean close.
     const bool flushed = out_off >= outbuf.size();
     if (close_after_flush && flushed) break;
-    if (!reading && flushed) {
-      std::lock_guard state_lock{state->m};
-      if (state->pending.empty()) break;
-    }
+    if (!reading && flushed && inflight == 0) break;
 
-    // 4) Poll for socket readiness, with a timeout that serves whichever
-    //    supervisor fires first: ticket readiness (short tick), idle
-    //    reap, or a stalled peer (io timeout).
-    pollfd pfd{};
+    // 4) Poll the socket and the wake-up eventfd.  A settling ticket
+    //    writes the eventfd, so the timeout only serves the supervisors:
+    //    idle reap and a stalled peer (io timeout).
+    pollfd pfds[2]{};
+    pollfd& pfd = pfds[0];
     pfd.fd = conn.fd();
     if (reading && !close_after_flush && inflight < cap)
       pfd.events |= POLLIN;
     if (!flushed) pfd.events |= POLLOUT;
+    pfds[1].fd = state->wake->fd();
+    pfds[1].events = POLLIN;
 
     int timeout_ms = -1;
-    if (inflight > 0) {
-      timeout_ms = 2;  // tickets resolve out-of-band; re-check soon
-    } else {
-      double wait_s = -1.0;
-      const auto consider = [&](double candidate) {
-        if (candidate < 0.0) candidate = 0.0;
-        if (wait_s < 0.0 || candidate < wait_s) wait_s = candidate;
-      };
-      const auto now = Clock::now();
-      if (idle_s > 0.0 && reading && flushed && inbuf.empty())
-        consider(idle_s - seconds_between(last_rx, now));
-      if (io_s > 0.0 && !inbuf.empty())
-        consider(io_s - seconds_between(last_rx, now));
-      if (io_s > 0.0 && !flushed)
-        consider(io_s - seconds_between(last_tx, now));
-      if (wait_s >= 0.0)
-        timeout_ms = std::clamp(
-            static_cast<int>(std::ceil(wait_s * 1e3)), 1, 1000);
-    }
-    const int nready = ::poll(&pfd, 1, timeout_ms);
+    double wait_s = -1.0;
+    const auto consider = [&](double candidate) {
+      if (candidate < 0.0) candidate = 0.0;
+      if (wait_s < 0.0 || candidate < wait_s) wait_s = candidate;
+    };
+    const auto now = Clock::now();
+    if (idle_s > 0.0 && reading && inflight == 0 && flushed && inbuf.empty())
+      consider(idle_s - seconds_between(last_rx, now));
+    if (io_s > 0.0 && reading && !inbuf.empty())
+      consider(io_s - seconds_between(last_rx, now));
+    if (io_s > 0.0 && !flushed)
+      consider(io_s - seconds_between(last_tx, now));
+    if (wait_s >= 0.0)
+      timeout_ms =
+          std::clamp(static_cast<int>(std::ceil(wait_s * 1e3)), 1, 1000);
+    const int nready = ::poll(pfds, 2, timeout_ms);
     if (nready < 0) {
       if (errno == EINTR) continue;
       break;
+    }
+    if ((pfds[1].revents & POLLIN) != 0) {
+      // Reset the counter; the promote step re-checks every ticket.
+      std::uint64_t settled = 0;
+      [[maybe_unused]] const ssize_t n =
+          ::read(pfds[1].fd, &settled, sizeof settled);
     }
 
     // 5) Inbound bytes (one bounded recv per iteration keeps a flooding

@@ -2,26 +2,57 @@
 
 #include <cstring>
 
+#include "fabp/core/error.hpp"
 #include "fabp/util/crc32.hpp"
 
 namespace fabp::net {
 namespace {
 
-// Little-endian append/read helpers.  memcpy keeps them alignment-safe;
-// the reader tracks a cursor and fails soft past the end.
+// Little-endian store/load/append helpers.  The shifts are byte-order
+// independent; the compiler folds each into one move on little-endian
+// hosts.  The reader tracks a cursor and fails soft past the end.
+
+/// Wire bytes per hit: u64 position + u32 score.
+constexpr std::size_t kHitBytes = 12;
+
+void store_u32(char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+void store_u64(char* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+std::uint32_t load_u32(const char* p) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i)
+    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i]))
+         << (8 * i);
+  return v;
+}
+
+std::uint64_t load_u64(const char* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i)
+    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i]))
+         << (8 * i);
+  return v;
+}
 
 void put_u8(std::string& out, std::uint8_t v) {
   out.push_back(static_cast<char>(v));
 }
 
 void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  char bytes[4];
+  store_u32(bytes, v);
+  out.append(bytes, sizeof bytes);
 }
 
 void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  char bytes[8];
+  store_u64(bytes, v);
+  out.append(bytes, sizeof bytes);
 }
 
 void put_f64(std::string& out, double v) {
@@ -38,9 +69,13 @@ void put_string(std::string& out, std::string_view s) {
 
 void put_hits(std::string& out, const std::vector<core::Hit>& hits) {
   put_u32(out, static_cast<std::uint32_t>(hits.size()));
+  const std::size_t at = out.size();
+  out.resize(at + kHitBytes * hits.size());
+  char* p = out.data() + at;
   for (const core::Hit& h : hits) {
-    put_u64(out, h.position);
-    put_u32(out, h.score);
+    store_u64(p, h.position);
+    store_u32(p + 8, h.score);
+    p += kHitBytes;
   }
 }
 
@@ -56,22 +91,14 @@ class Reader {
 
   bool u32(std::uint32_t& v) {
     if (data_.size() - pos_ < 4) return fail();
-    v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
+    v = load_u32(data_.data() + pos_);
     pos_ += 4;
     return true;
   }
 
   bool u64(std::uint64_t& v) {
     if (data_.size() - pos_ < 8) return fail();
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
+    v = load_u64(data_.data() + pos_);
     pos_ += 8;
     return true;
   }
@@ -94,17 +121,18 @@ class Reader {
   bool hits(std::vector<core::Hit>& v) {
     std::uint32_t n = 0;
     if (!u32(n)) return false;
-    // 12 bytes per entry; a lying count must not reserve gigabytes.
-    if (data_.size() - pos_ < std::size_t{n} * 12) return fail();
-    v.clear();
-    v.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      core::Hit h;
-      std::uint64_t pos = 0;
-      if (!u64(pos) || !u32(h.score)) return false;
-      h.position = static_cast<std::size_t>(pos);
-      v.push_back(h);
+    // One bounds check for the whole list: a lying count must not
+    // allocate gigabytes, and the entries then read unchecked.
+    const std::size_t bytes = std::size_t{n} * kHitBytes;
+    if (data_.size() - pos_ < bytes) return fail();
+    v.resize(n);
+    const char* p = data_.data() + pos_;
+    for (core::Hit& h : v) {
+      h.position = static_cast<std::size_t>(load_u64(p));
+      h.score = load_u32(p + 8);
+      p += kHitBytes;
     }
+    pos_ += bytes;
     return true;
   }
 
@@ -137,6 +165,35 @@ void put_header(std::string& out, MessageType type) {
   put_u8(out, kProtocolVersion);
 }
 
+std::size_t payload_size(const AlignResponse& m) {
+  return 2 + 8 + 1 + 4 + 8 + 8 + 4 + m.error.size() + 4 + 4 +
+         kHitBytes * (m.hits.size() + m.reverse_hits.size());
+}
+
+void put_payload(std::string& out, const AlignResponse& m) {
+  put_header(out, MessageType::AlignResponse);
+  put_u64(out, m.id);
+  put_u8(out, m.status);
+  put_u32(out, m.retry_after_ms);
+  put_f64(out, m.server_seconds);
+  put_u64(out, m.generation);
+  put_string(out, m.error);
+  put_hits(out, m.hits);
+  put_hits(out, m.reverse_hits);
+}
+
+/// Completes a frame whose payload follows a 4-byte placeholder in `out`:
+/// patches the length prefix, then appends the CRC32 of the payload.
+/// Body = payload + CRC32(payload): corruption anywhere in the payload is
+/// detected end-to-end, whichever direction the frame travels.  (A flipped
+/// bit in the 4-byte length prefix still surfaces as a desync / oversized
+/// frame, which the malformed-frame hardening already drops.)
+void seal_frame(std::string& out) {
+  const std::size_t payload = out.size() - 4;
+  store_u32(out.data(), static_cast<std::uint32_t>(payload) + kFrameCrcBytes);
+  put_u32(out, util::crc32(out.data() + 4, payload));
+}
+
 }  // namespace
 
 std::string encode(const AlignRequest& message) {
@@ -155,17 +212,23 @@ std::string encode(const AlignRequest& message) {
 
 std::string encode(const AlignResponse& message) {
   std::string out;
-  out.reserve(2 + 8 + 1 + 8 + 4 + message.error.size() +
-              12 * (message.hits.size() + message.reverse_hits.size()) + 8);
-  put_header(out, MessageType::AlignResponse);
-  put_u64(out, message.id);
-  put_u8(out, message.status);
-  put_u32(out, message.retry_after_ms);
-  put_f64(out, message.server_seconds);
-  put_u64(out, message.generation);
-  put_string(out, message.error);
-  put_hits(out, message.hits);
-  put_hits(out, message.reverse_hits);
+  out.reserve(payload_size(message));
+  put_payload(out, message);
+  return out;
+}
+
+std::string encode_framed(AlignResponse& message, std::uint32_t max_payload) {
+  if (payload_size(message) > max_payload) {
+    message.hits.clear();
+    message.reverse_hits.clear();
+    message.status = static_cast<std::uint8_t>(core::ErrorCode::BadArgument);
+    message.error = "hit list exceeds the response frame limit";
+  }
+  std::string out;
+  out.reserve(4 + payload_size(message) + kFrameCrcBytes);
+  out.resize(4);
+  put_payload(out, message);
+  seal_frame(out);
   return out;
 }
 
@@ -205,29 +268,20 @@ std::string encode(const StatsResponse& message) {
 }
 
 std::string frame(std::string_view payload) {
-  // Body = payload + CRC32(payload): corruption anywhere in the payload
-  // is detected end-to-end, whichever direction the frame travels.  (A
-  // flipped bit in the 4-byte length prefix still surfaces as a desync /
-  // oversized frame, which the existing malformed-frame hardening
-  // already drops.)
   std::string out;
   out.reserve(4 + payload.size() + kFrameCrcBytes);
-  put_u32(out,
-          static_cast<std::uint32_t>(payload.size()) + kFrameCrcBytes);
+  out.resize(4);
   out.append(payload);
-  put_u32(out, util::crc32(payload.data(), payload.size()));
+  seal_frame(out);
   return out;
 }
 
 bool verify_frame_body(std::string_view body, std::string_view& payload) {
   if (body.size() < kFrameCrcBytes) return false;
   const std::string_view data = body.substr(0, body.size() - kFrameCrcBytes);
-  std::uint32_t carried = 0;
-  for (int i = 0; i < 4; ++i)
-    carried |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(
-                   body[body.size() - kFrameCrcBytes + i]))
-               << (8 * i);
-  if (carried != util::crc32(data.data(), data.size())) return false;
+  if (load_u32(body.data() + data.size()) !=
+      util::crc32(data.data(), data.size()))
+    return false;
   payload = data;
   return true;
 }

@@ -25,6 +25,32 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
+void LogHistogram::record(double value) noexcept {
+  std::size_t bucket = 0;
+  if (value > kFloor)  // clamped before the cast: huge values stay defined
+    bucket = static_cast<std::size_t>(
+        std::min(std::log(value / kFloor) / std::log(kGrowth),
+                 static_cast<double>(kBuckets - 1)));
+  ++counts_[bucket];
+  min_ = count_ == 0 ? value : std::min(min_, value);
+  max_ = count_ == 0 ? value : std::max(max_, value);
+  ++count_;
+}
+
+double LogHistogram::percentile(double p) const noexcept {
+  if (count_ == 0) return 0.0;
+  const double wanted = std::ceil(std::clamp(p, 0.0, 100.0) / 100.0 *
+                                  static_cast<double>(count_));
+  const auto rank =
+      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(wanted));
+  std::uint64_t seen = 0;
+  std::size_t bucket = 0;
+  while (bucket + 1 < kBuckets && (seen += counts_[bucket]) < rank) ++bucket;
+  const double mid =
+      kFloor * std::pow(kGrowth, static_cast<double>(bucket) + 0.5);
+  return std::clamp(mid, min_, max_);
+}
+
 double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 
 double percentile(std::span<const double> xs, double p) {

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -481,6 +484,168 @@ TEST(Engine, ScansBelowTheSplitFloorServeGoldenHits) {
   // Half a tile per pool thread: every served scan stays serial.
   expect_served_hits_are_golden(
       kPoolTile * std::max<std::size_t>(2, util::available_cpus()) / 2, 943);
+}
+
+// What one request's completion hook saw.  The hook reads the ticket
+// through `ticket`, published under `m` once submit() returns; a hook that
+// fires inside submit() (a refusal) finds it unset, and the submitter
+// checks ready() right after publishing instead.
+struct SettleWatch {
+  std::mutex m;
+  const Ticket* ticket = nullptr;
+  int fires = 0;
+  bool ready_at_fire = true;
+};
+
+// Settle-hook lifecycle under seeded random interleavings of submit
+// (default, swapped and unknown databases; a quota-capped tenant; a small
+// queue; deadlines that expire at claim or at dispatch), cancel,
+// SwapDatabase, a late start() and engine destruction with work queued.
+// Every ticket's hook fires exactly once with the outcome already set,
+// and at each quiescent point the engine counters balance against the
+// outcomes the tickets hand back.  Run under tsan by the check.sh engine
+// leg.
+TEST(Engine, SettleHookFiresOnceAfterEveryOutcome) {
+  std::map<ErrorCode, std::size_t> seen;  // over all seeds; None = value
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Xoshiro256 rng{0x5E771E + seed};
+    const std::vector<ProteinSequence> queries = make_queries(4, rng);
+    EngineConfig config;
+    config.workers = 1 + seed % 2;
+    config.queue_capacity = 6;
+    config.max_coalesce = 3;
+    config.autostart = false;
+    config.tenants = {{"capped", 1.0, 2}};
+
+    std::deque<SettleWatch> watches;  // stable addresses for the hooks
+    std::deque<Ticket> tickets;       // tickets[i] is watched by watches[i]
+    auto engine = std::make_unique<Engine>(config);
+    engine->upload_reference(bio::random_dna(60000, rng));
+    engine->upload_database("alt", bio::random_dna(2000, rng));
+    bool started = false;
+
+    const auto submit = [&] {
+      SettleWatch& watch = watches.emplace_back();
+      RequestOptions options;
+      const std::uint64_t route = rng.next() % 8;
+      if (route == 0) options.database = "alt";
+      if (route == 1) options.database = "missing";
+      if (rng.next() % 3 == 0) options.tenant = "capped";
+      const std::uint64_t budget = rng.next() % 4;
+      if (budget == 0) options.timeout_s = 1e-6;  // expires at claim
+      // 0.1-0.4 ms, about one default-database batch: some of these
+      // expire while their claimed batch waits for the execution lock.
+      if (budget == 1)
+        options.timeout_s = 1e-4 * static_cast<double>(1 + rng.next() % 4);
+      options.on_settle = [&watch] {
+        std::lock_guard lock{watch.m};
+        ++watch.fires;
+        if (watch.ticket != nullptr && !watch.ticket->ready())
+          watch.ready_at_fire = false;
+      };
+      const ProteinSequence& query = queries[rng.next() % queries.size()];
+      Ticket& ticket = tickets.emplace_back(
+          engine->submit(query, half_threshold(query), options));
+      std::lock_guard lock{watch.m};
+      watch.ticket = &ticket;
+      if (watch.fires > 0 && !ticket.ready()) watch.ready_at_fire = false;
+    };
+
+    for (int op = 0; op < 40; ++op) {
+      const std::uint64_t pick = rng.next() % 10;
+      if (pick < 6) {
+        submit();
+      } else if (pick == 6 && !tickets.empty()) {
+        tickets[rng.next() % tickets.size()].cancel();
+      } else if (pick == 7) {
+        if (rng.next() % 2 == 0)
+          engine->upload_database("alt", bio::random_dna(2000, rng));
+        else
+          engine->upload_reference(bio::random_dna(60000, rng));
+      } else if (pick == 8 && !started && seed % 4 != 0) {
+        engine->start();
+        started = true;
+      } else if (pick == 9) {
+        std::this_thread::sleep_for(std::chrono::milliseconds{1});
+      }
+    }
+
+    // Quiesce: a started engine settles everything; an unstarted one
+    // settles only on the submitting/cancelling thread, so the rest stay
+    // queued for the destructor.
+    const auto fired = [](SettleWatch& watch) {
+      std::lock_guard lock{watch.m};
+      return watch.fires;
+    };
+    if (started) {
+      const auto give_up = std::chrono::steady_clock::now() +
+                           std::chrono::seconds{60};
+      for (SettleWatch& watch : watches)
+        while (fired(watch) == 0 &&
+               std::chrono::steady_clock::now() < give_up)
+          std::this_thread::sleep_for(std::chrono::microseconds{200});
+    }
+
+    const EngineStats stats = engine->stats();
+    std::map<ErrorCode, std::size_t> outcomes;
+    std::size_t queued = 0;
+    std::vector<bool> consumed(tickets.size(), false);
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+      if (fired(watches[i]) == 0) {
+        ++queued;
+        continue;
+      }
+      const Expected<HostRunReport> outcome = tickets[i].wait();
+      ++outcomes[outcome ? ErrorCode::None : outcome.error().code];
+      consumed[i] = true;
+    }
+    if (started) {
+      EXPECT_EQ(queued, 0u);
+    }
+    // UnknownDatabase is refused before admission: counted failed, never
+    // submitted.  QueueFull/TenantQuotaExceeded are counted rejected.
+    EXPECT_EQ(stats.submitted + outcomes[ErrorCode::UnknownDatabase],
+              stats.completed + stats.failed + stats.cancelled +
+                  stats.expired + queued);
+    EXPECT_EQ(stats.rejected, outcomes[ErrorCode::QueueFull] +
+                                  outcomes[ErrorCode::TenantQuotaExceeded]);
+    EXPECT_EQ(stats.completed, outcomes[ErrorCode::None]);
+    EXPECT_EQ(stats.cancelled, outcomes[ErrorCode::Cancelled]);
+    EXPECT_EQ(stats.expired, outcomes[ErrorCode::DeadlineExceeded]);
+
+    // Destruction with work queued: an unstarted engine still holds its
+    // backlog; a started one gets a fresh burst it cannot finish first.
+    if (started)
+      for (int i = 0; i < 5; ++i) submit();
+    engine.reset();
+
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+      SettleWatch& watch = watches[i];
+      {
+        std::lock_guard lock{watch.m};
+        EXPECT_EQ(watch.fires, 1) << "ticket " << i;
+        EXPECT_TRUE(watch.ready_at_fire) << "ticket " << i;
+      }
+      EXPECT_FALSE(tickets[i].cancel());  // settled: nothing left to win
+      if (i < consumed.size() && consumed[i]) continue;
+      EXPECT_TRUE(tickets[i].ready());
+      const Expected<HostRunReport> outcome = tickets[i].wait();
+      const ErrorCode code = outcome ? ErrorCode::None : outcome.error().code;
+      if (!started) {
+        EXPECT_EQ(code, ErrorCode::ShuttingDown) << "ticket " << i;
+      }
+      ++outcomes[code];
+    }
+    for (const auto& [code, count] : outcomes) seen[code] += count;
+  }
+  // Every settle site ran somewhere in the sweep (the seeds are fixed and
+  // these outcomes do not depend on thread timing).
+  for (ErrorCode code :
+       {ErrorCode::None, ErrorCode::Cancelled, ErrorCode::DeadlineExceeded,
+        ErrorCode::QueueFull, ErrorCode::TenantQuotaExceeded,
+        ErrorCode::UnknownDatabase, ErrorCode::ShuttingDown})
+    EXPECT_GT(seen[code], 0u) << "no outcome " << static_cast<int>(code);
 }
 
 }  // namespace

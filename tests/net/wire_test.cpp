@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "fabp/bio/generate.hpp"
@@ -158,6 +159,75 @@ TEST(Wire, VerifyFrameBodyCatchesEveryOneByteCorruption) {
 
   // A body too short to even carry the trailer fails soft.
   EXPECT_FALSE(verify_frame_body(std::string_view{"abc"}, payload));
+}
+
+// The one-pass framed response is frame(encode(r)) byte for byte, so the
+// wire format is unchanged and every frame still verifies and decodes.
+TEST(Wire, EncodeFramedMatchesFrameOfEncode) {
+  AlignResponse empty;
+  AlignResponse error_text;
+  error_text.id = 3;
+  error_text.status = static_cast<std::uint8_t>(core::ErrorCode::Overloaded);
+  error_text.retry_after_ms = 40;
+  error_text.error = "server overloaded; retry after the hint";
+  AlignResponse both_strands;
+  both_strands.id = 11;
+  both_strands.server_seconds = 0.0042;
+  both_strands.generation = 6;
+  both_strands.hits = {{0, 3}, {1234567890123ULL, 48}, {99, 0}};
+  both_strands.reverse_hits = {{17, 9}, {~std::size_t{0}, 0xffffffffu}};
+  AlignResponse large;
+  large.id = 12;
+  util::Xoshiro256 rng{4242};
+  for (std::size_t i = 0; i < 100'000; ++i)
+    large.hits.push_back({static_cast<std::size_t>(rng.next() >> 20),
+                          static_cast<std::uint32_t>(rng.next() % 60)});
+  large.reverse_hits.assign(large.hits.rbegin(), large.hits.rbegin() + 500);
+
+  for (const AlignResponse& original :
+       {empty, error_text, both_strands, large}) {
+    AlignResponse message = original;
+    const std::string framed = encode_framed(message);
+    EXPECT_EQ(framed, frame(encode(original))) << "id=" << original.id;
+    EXPECT_EQ(message.status, original.status);  // under the limit: as is
+
+    std::string_view payload;
+    ASSERT_TRUE(
+        verify_frame_body(std::string_view{framed}.substr(4), payload));
+    AlignResponse decoded;
+    ASSERT_TRUE(decode(payload, decoded));
+    EXPECT_EQ(decoded.hits, original.hits);
+    EXPECT_EQ(decoded.reverse_hits, original.reverse_hits);
+    EXPECT_EQ(decoded.error, original.error);
+  }
+}
+
+// The frame limit bounds the *payload*: a payload of exactly the limit
+// goes out as is, one byte more becomes the typed BadArgument refusal.
+TEST(Wire, EncodeFramedRefusesPayloadOverTheLimit) {
+  AlignResponse message;
+  message.id = 21;
+  message.generation = 4;
+  message.hits.assign(100, core::Hit{7, 30});
+  const auto limit = static_cast<std::uint32_t>(encode(message).size());
+
+  AlignResponse at_limit = message;
+  EXPECT_EQ(encode_framed(at_limit, limit), frame(encode(message)));
+  EXPECT_TRUE(at_limit.ok());
+
+  AlignResponse over = message;
+  const std::string framed = encode_framed(over, limit - 1);
+  std::string_view payload;
+  ASSERT_TRUE(verify_frame_body(std::string_view{framed}.substr(4), payload));
+  AlignResponse decoded;
+  ASSERT_TRUE(decode(payload, decoded));
+  EXPECT_EQ(decoded.status,
+            static_cast<std::uint8_t>(core::ErrorCode::BadArgument));
+  EXPECT_EQ(decoded.error, "hit list exceeds the response frame limit");
+  EXPECT_EQ(decoded.id, 21u);
+  EXPECT_EQ(decoded.generation, 4u);
+  EXPECT_TRUE(decoded.hits.empty());
+  EXPECT_EQ(over.status, decoded.status);  // the caller sees the rewrite
 }
 
 TEST(Wire, AlignRequestCarriesDatabaseAndTenant) {
@@ -317,6 +387,73 @@ TEST(Server, StatsRequestReturnsFormatterText) {
   StatsResponse stats;
   ASSERT_TRUE(decode(payload, stats));
   EXPECT_EQ(stats.text, "stats-body");
+}
+
+// Replies that are ready at parse time (stats here) leave at once: 200
+// sequential round trips on one connection take well under 200 ms.  A
+// server that only noticed ready replies on a 2 ms poll tick took ~2.2 ms
+// per round trip.
+TEST(Server, SequentialStatsRoundTripsDoNotWaitForATick) {
+  ServerFixture fx;
+  Socket conn = connect_local(fx.server.port());
+  std::string payload;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(write_frame(conn.fd(), encode_stats_request()));
+    ASSERT_TRUE(read_frame(conn.fd(), payload));
+  }
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  StatsResponse stats;
+  ASSERT_TRUE(decode(payload, stats));
+  EXPECT_EQ(stats.text, "stats-body");
+  EXPECT_LT(ms, 200.0);
+}
+
+// Pipelined in one write: ready slots (stats, the CRC reject) queue behind
+// and ahead of live tickets, and the four replies still leave in request
+// order.
+TEST(Server, PipelinedMixedRepliesKeepRequestOrder) {
+  ServerFixture fx;
+  Socket conn = connect_local(fx.server.port());
+  AlignRequest first;
+  first.id = 1;
+  first.threshold = 30;
+  first.protein = "MKWVTFISLL";
+  AlignRequest last = first;
+  last.id = 4;
+  AlignRequest corrupted = first;
+  corrupted.id = 3;
+  std::string bad = frame(encode(corrupted));
+  bad[6] ^= 0x20;  // one payload byte after the length prefix
+  const std::string burst = frame(encode(first)) +
+                            frame(encode_stats_request()) + bad +
+                            frame(encode(last));
+  ASSERT_EQ(::send(conn.fd(), burst.data(), burst.size(), 0),
+            static_cast<ssize_t>(burst.size()));
+
+  std::string payload;
+  AlignResponse response;
+  ASSERT_TRUE(read_frame(conn.fd(), payload));
+  ASSERT_TRUE(decode(payload, response));
+  EXPECT_TRUE(response.ok()) << response.error;
+  EXPECT_EQ(response.id, 1u);
+
+  ASSERT_TRUE(read_frame(conn.fd(), payload));
+  StatsResponse stats;
+  ASSERT_TRUE(decode(payload, stats));
+  EXPECT_EQ(stats.text, "stats-body");
+
+  ASSERT_TRUE(read_frame(conn.fd(), payload));
+  ASSERT_TRUE(decode(payload, response));
+  EXPECT_EQ(response.status,
+            static_cast<std::uint8_t>(core::ErrorCode::IntegrityFailure));
+
+  ASSERT_TRUE(read_frame(conn.fd(), payload));
+  ASSERT_TRUE(decode(payload, response));
+  EXPECT_TRUE(response.ok()) << response.error;
+  EXPECT_EQ(response.id, 4u);
 }
 
 TEST(Server, LoadgenClosedLoopIsCleanAndCounted) {

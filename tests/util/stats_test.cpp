@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <vector>
+
+#include "fabp/util/rng.hpp"
 
 namespace fabp::util {
 namespace {
@@ -86,6 +90,44 @@ TEST(Mean, Basic) {
   const std::array<double, 4> xs{1, 2, 3, 4};
   EXPECT_DOUBLE_EQ(mean(xs), 2.5);
   EXPECT_EQ(mean(std::span<const double>{}), 0.0);
+}
+
+TEST(LogHistogram, EmptyIsZero) {
+  const LogHistogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.percentile(50.0), 0.0);
+  EXPECT_EQ(h.max(), 0.0);
+}
+
+TEST(LogHistogram, SingleSampleIsExact) {
+  LogHistogram h;
+  h.record(3.7);
+  EXPECT_DOUBLE_EQ(h.percentile(0.0), 3.7);
+  EXPECT_DOUBLE_EQ(h.percentile(99.0), 3.7);
+  EXPECT_DOUBLE_EQ(h.max(), 3.7);
+}
+
+// Against the exact nearest-rank sample of a wide (5 decades) sample:
+// every percentile within 1 %, the max exact.
+TEST(LogHistogram, PercentilesWithinOnePercentOfNearestRank) {
+  Xoshiro256 rng{77};
+  LogHistogram h;
+  std::vector<double> xs;
+  for (int i = 0; i < 20'000; ++i) {
+    const double u = static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
+    xs.push_back(0.01 * std::pow(10.0, 5.0 * u));
+    h.record(xs.back());
+  }
+  std::sort(xs.begin(), xs.end());
+  EXPECT_EQ(h.count(), xs.size());
+  EXPECT_EQ(h.max(), xs.back());
+  for (double p : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+    const auto rank = std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               std::ceil(p / 100.0 * static_cast<double>(xs.size()))));
+    const double exact = xs[rank - 1];
+    EXPECT_NEAR(h.percentile(p), exact, 0.01 * exact) << "p=" << p;
+  }
 }
 
 }  // namespace

@@ -14,7 +14,9 @@
 #      submit/cancel/coalesce machinery, and
 #   4. an UndefinedBehaviorSanitizer build running the fault-injection and
 #      chaos suites — UB coverage over beat corruption, CRC repair and the
-#      retry/degrade state machine, and
+#      retry/degrade state machine — plus the CRC32 and wire codec tests,
+#      whose slicing-by-8 kernel and byte stores/loads shift promoted
+#      unsigned chars, and
 #   5. the engine stress suite pinned to the swar64 kernel — a
 #      deterministic-ISA concurrency exercise of the coalescing scheduler
 #      (same kernel on every machine, so schedules differ but hit lists
@@ -86,9 +88,16 @@ build-tsan/tests/net_tests
 
 echo "== check.sh: ubsan build, fault + chaos suites =="
 cmake -B build-ubsan -S . -DFABP_SANITIZE=undefined
-cmake --build build-ubsan -j"$jobs" --target core_tests hw_tests
+cmake --build build-ubsan -j"$jobs" \
+    --target core_tests hw_tests util_tests net_tests
 build-ubsan/tests/hw_tests --gtest_filter='Fault*:CorruptWords*'
 build-ubsan/tests/core_tests --gtest_filter='Chaos*'
+# The CRC kernel and the wire codec; halt_on_error turns any report into
+# a failed step.
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    build-ubsan/tests/util_tests --gtest_filter='Crc32*:Wire.*'
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    build-ubsan/tests/net_tests --gtest_filter='Crc32*:Wire.*'
 
 echo "== check.sh: engine stress, FABP_FORCE_ISA=swar64 =="
 FABP_FORCE_ISA=swar64 build/tests/engine_tests \

@@ -48,6 +48,10 @@
 #include <string>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "fabp/fabp.hpp"
 
 namespace {
@@ -433,6 +437,26 @@ sigset_t drain_signal_set() {
   return mask;
 }
 
+// Every served align allocates its hit lists and its response frame
+// (hundreds of KiB each on a 256 kbp database) and frees them once the
+// reply is sent.  glibc's adaptive policy trims a heap once its free top
+// passes twice the largest block freed so far, so on a steady stream of
+// such requests it hands the same memory back to the kernel and faults
+// it in again: about 100 page faults per request, all in whichever
+// engine worker's arena trims, which made the server's CPU per request
+// swing by +-10 % from one run to the next.  Fixed thresholds stop the
+// churn: blocks up to 32 MiB (the ceiling the adaptive threshold climbs
+// to) come from the heaps, and a heap is trimmed only when more than
+// 8 MiB lie free at its top.  A republished 8 Mbp database keeps the
+// peak RSS it had under the adaptive policy (a 32 MiB trim threshold
+// raised it by half).
+void keep_freed_blocks_for_reuse() {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 8 << 20);
+#endif
+}
+
 // Real TCP server over the engine: accept loop on this thread, graceful
 // drain on SIGTERM/SIGINT via a dedicated sigwait thread.  The caller
 // must have blocked drain_signal_set() *before spawning any thread* (the
@@ -510,6 +534,7 @@ int cmd_serve(std::size_t bases, std::size_t query_aa, std::size_t requests,
     // drain thread instead of the default fatal disposition.
     const sigset_t mask = drain_signal_set();
     pthread_sigmask(SIG_BLOCK, &mask, nullptr);
+    keep_freed_blocks_for_reuse();
   }
   // Serving-engine demo: a burst of concurrent align requests against one
   // resident reference, drained by the worker pool with request
